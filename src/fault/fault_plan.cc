@@ -37,19 +37,6 @@ uniform01(std::uint64_t &s)
     return static_cast<double>(xorshift64star(s) >> 11) * 0x1.0p-53;
 }
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t
-fnvMix(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 } // namespace
 
 const char *
@@ -95,8 +82,7 @@ toString(FaultKind kind)
 }
 
 FaultPlan::FaultPlan(std::uint64_t seed)
-    : seed_(seed), seedSequence_(seed), fingerprint_(kFnvOffset),
-      stats_("fault_plan")
+    : seed_(seed), seedSequence_(seed), stats_("fault_plan")
 {
 }
 
@@ -168,13 +154,8 @@ FaultPlan::record(FaultKind kind, const std::string &target, Tick now)
     ++counts_[static_cast<std::size_t>(kind)];
     ++total_;
     stats_.counter(std::string("injected_") + toString(kind)).inc();
-    fingerprint_ =
-        fnvMix(fingerprint_, static_cast<std::uint64_t>(kind));
-    fingerprint_ = fnvMix(fingerprint_, now);
-    for (char c : target) {
-        fingerprint_ ^= static_cast<std::uint8_t>(c);
-        fingerprint_ *= kFnvPrime;
-    }
+    fingerprint_.u64(static_cast<std::uint64_t>(kind)).u64(now).bytes(
+        target);
     if (log_.size() < kMaxLogEntries)
         log_.push_back(Event{kind, now, target});
     if (FlightRecorder *fdr = FlightRecorder::active())

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "telemetry/metrics_registry.h"
@@ -121,7 +122,7 @@ class FaultPlan {
      * events included). Equal seeds + schedules + workloads produce
      * equal fingerprints; the chaos suite asserts exactly that.
      */
-    std::uint64_t fingerprint() const { return fingerprint_; }
+    std::uint64_t fingerprint() const { return fingerprint_.value(); }
 
     /** Per-kind injection counters ("injected_<kind>"). */
     StatGroup &stats() { return stats_; }
@@ -161,7 +162,7 @@ class FaultPlan {
     std::uint64_t counts_[static_cast<std::size_t>(FaultKind::kCount)] =
         {};
     std::uint64_t total_ = 0;
-    std::uint64_t fingerprint_;
+    Fnv1a64 fingerprint_;
     StatGroup stats_;
     ScopedMetrics telemetry_;
 };

@@ -1,8 +1,8 @@
 #include "fleet/fleet_manager.h"
 
+#include "common/fnv.h"
 #include "common/logging.h"
 #include "common/strings.h"
-#include "ha/blob_transfer.h"
 #include "obs/flight_recorder.h"
 #include "sim/clock.h"
 
@@ -237,27 +237,11 @@ FleetManager::placeAt(Tenant &tenant, std::size_t card_idx,
 
     // Re-seed a displaced/migrating tenant: last checkpoint blob
     // first, then the journal tail in issue order (at-least-once).
-    if (!tenant.blob.empty() &&
-        !pushCheckpointBlob(*card.driver,
-                            static_cast<std::uint8_t>(slot),
-                            tenant.blob)) {
+    if (!tenant.replica.reseed(*card.driver,
+                               static_cast<std::uint8_t>(slot))) {
         card.pr->unload(slot);
         role->unbind();
-        stats_.counter("restore_failed").inc();
         return false;
-    }
-    for (JournalEntry &entry : tenant.journal) {
-        const CallOutcome out = card.driver->callChecked(
-            kRoleRbbIdBase, static_cast<std::uint8_t>(slot),
-            entry.code, entry.data);
-        if (!out.ok() || out.response.status != kCmdOk) {
-            card.pr->unload(slot);
-            role->unbind();
-            stats_.counter("replay_failed").inc();
-            return false;
-        }
-        entry.acked = true;
-        stats_.counter("replayed_commands").inc();
     }
 
     tenant.role = std::move(role);
@@ -326,10 +310,10 @@ FleetManager::admit(FleetRoleSpec spec)
         stats_.counter("priority_evictions").inc();
     }
 
-    Tenant &tenant = tenants_[spec.tenant];
+    Tenant &tenant =
+        tenants_.try_emplace(spec.tenant, stats_).first->second;
     tenant.spec = std::move(spec);
-    tenant.blob.clear();
-    tenant.journal.clear();
+    tenant.replica.reset();
     if (!placeAt(tenant, cardIndex(decision.card), decision.slot)) {
         tenant.state = TenantState::Degraded;
         stats_.counter("tenants_degraded").inc();
@@ -348,8 +332,7 @@ FleetManager::evict(const std::string &tenant_name)
         return false;
     tearOut(tenant);
     tenant.state = TenantState::Evicted;
-    tenant.blob.clear();
-    tenant.journal.clear();
+    tenant.replica.reset();
     stats_.counter("evictions").inc();
     return true;
 }
@@ -371,7 +354,7 @@ FleetManager::migrate(const std::string &tenant_name,
     // (the card died under us) the last periodic checkpoint plus the
     // journal tail still covers every acked call.
     checkpointTenant(tenant_name);
-    if (tenant.blob.empty()) {
+    if (!tenant.replica.hasBlob()) {
         stats_.counter("migrate_refused").inc();
         return decision;
     }
@@ -422,19 +405,11 @@ FleetManager::call(const std::string &tenant_name, std::uint16_t code,
         stats_.counter("calls_refused").inc();
         return CallOutcome{};
     }
-    tenant.journal.push_back(JournalEntry{code, data, false});
+    const CallOutcome out = tenant.replica.call(
+        *cards_[tenant.card].driver,
+        static_cast<std::uint8_t>(tenant.slot), code, data);
     journalHighWater_ =
-        std::max(journalHighWater_, tenant.journal.size());
-    const CallOutcome out = cards_[tenant.card].driver->callChecked(
-        kRoleRbbIdBase, static_cast<std::uint8_t>(tenant.slot), code,
-        data);
-    if (out.ok() && out.response.status == kCmdOk) {
-        tenant.journal.back().acked = true;
-        ++acked_;
-        stats_.counter("acked_calls").inc();
-    } else {
-        stats_.counter("unacked_calls").inc();
-    }
+        std::max(journalHighWater_, tenant.replica.journalDepth());
     return out;
 }
 
@@ -448,17 +423,11 @@ FleetManager::checkpointTenant(const std::string &tenant_name)
     if (card.dog->dead())
         return false;
     std::vector<std::uint32_t> blob;
-    if (!fetchCheckpointBlob(*card.driver,
-                             static_cast<std::uint8_t>(tenant.slot),
-                             &blob)) {
-        stats_.counter("checkpoint_failures").inc();
+    if (!tenant.replica.drain(*card.driver,
+                              static_cast<std::uint8_t>(tenant.slot),
+                              &blob))
         return false;
-    }
-    tenant.blob = std::move(blob);
-    // Everything journaled so far is inside (or definitively rejected
-    // before) this cut; only later entries need replay.
-    tenant.journal.clear();
-    stats_.counter("checkpoints").inc();
+    tenant.replica.commit(std::move(blob));
     return true;
 }
 
@@ -619,44 +588,29 @@ FleetManager::degradedCount() const
 std::size_t
 FleetManager::journalDepth(const std::string &tenant) const
 {
-    return tenantRef(tenant).journal.size();
+    return tenantRef(tenant).replica.journalDepth();
 }
 
 std::uint64_t
 FleetManager::fingerprint() const
 {
-    std::uint64_t hash = 14695981039346656037ULL;
-    const auto mixByte = [&hash](std::uint8_t b) {
-        hash ^= b;
-        hash *= 1099511628211ULL;
-    };
-    const auto mixWord = [&mixByte](std::uint32_t w) {
-        for (unsigned b = 0; b < 4; ++b)
-            mixByte((w >> (8 * b)) & 0xff);
-    };
-    const auto mixString = [&mixByte](const std::string &s) {
-        for (const char c : s)
-            mixByte(static_cast<std::uint8_t>(c));
-        mixByte(0);
-    };
+    Fnv1a64 hash;
     for (const auto &[name, tenant] : tenants_) {
-        mixString(name);
-        mixString(toString(tenant.state));
+        hash.str(name).str(toString(tenant.state));
         if (tenant.state == TenantState::Placed) {
-            mixString(cards_[tenant.card].name);
-            mixWord(static_cast<std::uint32_t>(tenant.slot));
+            hash.str(cards_[tenant.card].name)
+                .u32(static_cast<std::uint32_t>(tenant.slot));
             if (tenant.role != nullptr)
                 for (const std::uint32_t w : tenant.role->snapshot())
-                    mixWord(w);
+                    hash.u32(w);
         }
     }
     for (const Card &card : cards_) {
-        mixString(card.name);
-        mixByte(card.dog->dead() ? 1 : 0);
+        hash.str(card.name).byte(card.dog->dead() ? 1 : 0);
         for (std::size_t s = 0; s < card.pr->slotCount(); ++s)
-            mixString(toString(card.pr->slotState(s)));
+            hash.str(toString(card.pr->slotState(s)));
     }
-    return hash;
+    return hash.value();
 }
 
 FleetManager::Tenant &

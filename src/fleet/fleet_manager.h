@@ -7,11 +7,9 @@
  * Placement decisions come from the stateless PlacementEngine over a
  * snapshot of live card state; role swaps ride the existing PR
  * controller under live traffic; live cross-vendor migration and
- * death displacement reuse the HA plane's checkpoint wire transfer
- * (drain → checkpoint → place → restore → cutover) with journal-tail
- * replay, so an acknowledged command is never lost: it is either
- * inside the last drained blob or replayed from the journal on the
- * new card.
+ * death displacement re-seed the new card from the tenant's Replica
+ * (ha/replica.h: last drained blob + journal tail), so an
+ * acknowledged command is never lost (DESIGN.md §14).
  *
  * Determinism: cards are visited in creation order and tenants in
  * name order (std::map); every latency is simulated time; the only
@@ -28,8 +26,9 @@
 #include <memory>
 
 #include "fleet/placement.h"
-#include "ha/watchdog.h"  // harmonia-lint: allow(LAYER-002) fleet schedules over the HA plane
-#include "obs/hub.h"      // harmonia-lint: allow(LAYER-002) hub series feed the scheduler
+#include "ha/replica.h"
+#include "ha/watchdog.h"
+#include "obs/hub.h"
 #include "shell/partial_reconfig.h"
 
 namespace harmonia {
@@ -64,7 +63,7 @@ class FleetManager {
     enum class TenantState {
         Placed,    ///< running in a slot
         Degraded,  ///< displaced and not re-placeable — explicit, never
-                   ///< silent (re-tried when capacity returns)
+                   ///< silent (re-tried when a dead card revives)
         Evicted,   ///< displaced by priority or operator; state dropped
     };
 
@@ -144,8 +143,9 @@ class FleetManager {
     /**
      * The host orchestration step: pace every watchdog, displace and
      * re-place (or explicitly degrade) tenants of newly-dead cards,
-     * re-admit revived cards and retry degraded tenants, run the
-     * periodic checkpoint drain, and refresh the hub series.
+     * re-admit revived cards and retry degraded tenants then (and
+     * only then), run the periodic checkpoint drain, and refresh the
+     * hub series.
      */
     void poll();
 
@@ -171,7 +171,7 @@ class FleetManager {
     std::size_t journalHighWater() const { return journalHighWater_; }
 
     /** Acked journaled calls, lifetime. */
-    std::uint64_t ackedCalls() const { return acked_; }
+    std::uint64_t ackedCalls() const { return stats_.value("acked_calls"); }
 
     std::uint64_t placements() const { return placements_; }
     std::uint64_t migrations() const { return migrations_; }
@@ -209,20 +209,15 @@ class FleetManager {
         double placementCyclesTotal = 0.0;
     };
 
-    struct JournalEntry {
-        std::uint16_t code = 0;
-        std::vector<std::uint32_t> data;
-        bool acked = false;
-    };
-
     struct Tenant {
+        explicit Tenant(StatGroup &stats) : replica(stats) {}
+
         FleetRoleSpec spec;
         TenantState state = TenantState::Evicted;
         std::size_t card = 0;
         std::size_t slot = 0;
         std::unique_ptr<Role> role;
-        std::vector<std::uint32_t> blob;
-        std::vector<JournalEntry> journal;
+        Replica replica;
     };
 
     std::vector<PlacementCardView>
@@ -236,7 +231,7 @@ class FleetManager {
     /** Tear a placed tenant out of its slot (state kept). */
     void tearOut(Tenant &tenant);
 
-    /** Decide + place a displaced tenant from blob + journal. */
+    /** Decide + place a displaced tenant from its replica. */
     bool tryReplace(Tenant &tenant);
 
     void handleCardDeath(std::size_t card_idx);
@@ -255,7 +250,6 @@ class FleetManager {
     ObsHub *hub_ = nullptr;
     Tick lastCheckpointAt_ = 0;
     bool everCheckpointed_ = false;
-    std::uint64_t acked_ = 0;
     std::uint64_t placements_ = 0;
     std::uint64_t migrations_ = 0;
     Cycles lastPlacementCycles_ = 0;

@@ -2,19 +2,13 @@
  * @file
  * The failover orchestrator: one primary and one standby shell —
  * possibly from different vendors — with twin roles bound to each.
- * Application commands go through the coordinator's journaled call()
- * proxy; the coordinator periodically drains checkpoint blobs off the
- * primary over the wire, and when its watchdog declares the primary
- * dead it re-seeds the standby from the last checkpoint and replays
- * the journal tail — every entry at or after the checkpoint mark,
- * acked or not, in order.
- *
- * Zero acknowledged-command loss (DESIGN.md §14): an acked call is
- * either covered by the checkpoint (it completed before the blob was
- * drained, so its effect is inside the blob) or sits at-or-after the
- * mark and is replayed onto the standby. Unacked calls in the
- * two-generals window (executed, ack lost) are replayed too —
- * at-least-once, never at-most-once.
+ * Each managed pair has one Replica (ha/replica.h): application
+ * commands go through the coordinator's journaled call() proxy, the
+ * coordinator periodically drains checkpoint blobs off the primary
+ * over the wire, and when its watchdog declares the primary dead it
+ * re-seeds every standby role from its replica — last checkpoint,
+ * then the journal tail, acked or not, in order. That is what makes
+ * failover lose no acknowledged command (DESIGN.md §14).
  */
 
 #ifndef HARMONIA_HA_FAILOVER_H_
@@ -22,6 +16,7 @@
 
 #include <memory>
 
+#include "ha/replica.h"
 #include "ha/watchdog.h"
 #include "roles/role.h"
 
@@ -39,6 +34,10 @@ class FailoverCoordinator {
     FailoverCoordinator(Engine &engine, Shell &primary, Shell &standby,
                         FailoverConfig config = {});
 
+    // The replicas count into stats_ by address.
+    FailoverCoordinator(const FailoverCoordinator &) = delete;
+    FailoverCoordinator &operator=(const FailoverCoordinator &) = delete;
+
     /**
      * Register a primary/standby role pair. Both must be bound (on
      * the primary and standby shell respectively), share one kind
@@ -49,16 +48,16 @@ class FailoverCoordinator {
     /**
      * Journaled command proxy: issue @p code to the managed role in
      * @p slot on the currently-active shell, recording the call so a
-     * later failover can replay it.
+     * later failover can replay it. An unmanaged slot is fatal.
      */
     CallOutcome call(std::uint8_t slot, std::uint16_t code,
                      const std::vector<std::uint32_t> &data = {});
 
     /**
      * Drain a checkpoint blob from every managed role on the primary
-     * over the wire. All-or-nothing: blobs and the journal mark only
-     * advance when every role's drain succeeds, so the retained cut
-     * is always consistent. No-op (false) after failover.
+     * over the wire. All-or-nothing: no replica commits until every
+     * role's drain succeeds, so the retained cut is always
+     * consistent. No-op (false) after failover.
      */
     bool checkpointNow();
 
@@ -71,9 +70,9 @@ class FailoverCoordinator {
     bool poll();
 
     /**
-     * Promote the standby now: re-seed shell state, push the last
-     * checkpoint blobs, replay the journal tail, and point the
-     * watchdog at the standby. Returns success.
+     * Promote the standby now: re-seed shell state, reseed every
+     * standby role from its replica (last blob, then journal tail),
+     * and point the watchdog at the standby. Returns success.
      */
     bool failover();
 
@@ -82,7 +81,7 @@ class FailoverCoordinator {
     Watchdog &watchdog() { return *watchdog_; }
 
     /** Calls whose kernel ack reached the host, lifetime total. */
-    std::uint64_t ackedCalls() const { return acked_; }
+    std::uint64_t ackedCalls() const { return stats_.value("acked_calls"); }
 
     /**
      * Downtime of the last failover: from the primary's last
@@ -102,17 +101,10 @@ class FailoverCoordinator {
 
   private:
     struct Pair {
-        Role *primary = nullptr;
-        Role *standby = nullptr;
-        std::uint8_t slot = 0;
-        std::vector<std::uint32_t> blob;  ///< last drained checkpoint
-    };
-
-    struct JournalEntry {
-        std::uint8_t slot = 0;
-        std::uint16_t code = 0;
-        std::vector<std::uint32_t> data;
-        bool acked = false;
+        Role *primary;
+        Role *standby;
+        std::uint8_t slot;
+        Replica replica;
     };
 
     Engine &engine_;
@@ -123,8 +115,6 @@ class FailoverCoordinator {
     CmdDriver standbyDriver_;
     std::unique_ptr<Watchdog> watchdog_;
     std::vector<Pair> pairs_;
-    std::vector<JournalEntry> journal_;
-    std::uint64_t acked_ = 0;
     Tick lastCheckpointAt_ = 0;
     bool everCheckpointed_ = false;
     bool failedOver_ = false;

@@ -1,5 +1,6 @@
 #include "obs/fleet_sim.h"
 
+#include "common/fnv.h"
 #include "common/packet.h"
 #include "device/database.h"
 
@@ -19,16 +20,6 @@ constexpr CardSpec kCards[] = {
     {"DeviceC", "net_probe"},
     {"DeviceD", "ml_infer"},
 };
-
-std::uint64_t
-fnv1a(std::uint64_t h, const std::string &bytes)
-{
-    for (char c : bytes) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 } // namespace
 
@@ -178,13 +169,11 @@ FleetSim::top() const
 std::uint64_t
 FleetSim::fingerprint() const
 {
-    std::uint64_t h = 14695981039346656037ULL;
-    h = fnv1a(h, top());
-    h = fnv1a(h, hub_.summary());
+    Fnv1a64 h;
+    h.bytes(top()).bytes(hub_.summary());
     for (const FaultPlan::Event &e : plan_.log())
-        h = fnv1a(h, e.target);
-    h ^= plan_.fingerprint();
-    return h;
+        h.bytes(e.target);
+    return h.value() ^ plan_.fingerprint();
 }
 
 } // namespace harmonia

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/fnv.h"
 #include "obs/flight_recorder.h"  // harmonia-lint: allow(LAYER-002) snapshots ride the command plane
 #include "obs/slo.h"  // harmonia-lint: allow(LAYER-002) snapshots ride the command plane
 #include "telemetry/profiler.h"
@@ -75,18 +76,10 @@ flattenValues(const MetricsRegistry &registry,
 std::uint64_t
 mapHash(const std::vector<FlatSample> &flat)
 {
-    std::uint64_t h = 14695981039346656037ULL;
-    const auto mix = [&h](std::uint8_t byte) {
-        h ^= byte;
-        h *= 1099511628211ULL;
-    };
-    for (const FlatSample &f : flat) {
-        for (char c : f.entry.name)
-            mix(static_cast<std::uint8_t>(c));
-        mix(0);
-        mix(static_cast<std::uint8_t>(f.entry.enc));
-    }
-    return h;
+    Fnv1a64 h;
+    for (const FlatSample &f : flat)
+        h.str(f.entry.name).byte(static_cast<std::uint8_t>(f.entry.enc));
+    return h.value();
 }
 
 void

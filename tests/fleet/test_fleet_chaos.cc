@@ -146,6 +146,8 @@ TEST(FleetChaos, DeathMidReconfigurationDegradesExplicitly)
     ASSERT_TRUE(fleet.admit(spec).placed);
     ASSERT_TRUE(
         fleet.call("only", kCmdTableWrite, {5, 99}).ok());
+    ASSERT_TRUE(
+        fleet.call("only", kCmdTableWrite, {7, 77}).ok());
 
     FaultPlan plan(11);
     plan.addWindow(FaultKind::DeviceDeath, engine.now(),
@@ -153,6 +155,14 @@ TEST(FleetChaos, DeathMidReconfigurationDegradesExplicitly)
     plan.addWindow(FaultKind::DeviceDeath, engine.now(),
                    engine.now() + 400'000'000, 1.0, "card1");
     plan.arm();
+
+    // A write the dying card never acks stays in the journal tail.
+    // Replay is at-least-once (DESIGN.md §14), so after revival it
+    // overwrites key 5's acked value — the same effect a host sees
+    // when the card executed it but the ack was lost.
+    const CallOutcome doomed =
+        fleet.call("only", kCmdTableWrite, {5, 123});
+    EXPECT_FALSE(doomed.ok() && doomed.response.status == kCmdOk);
 
     for (int i = 0; i < 20 && fleet.aliveCards() != 0; ++i) {
         fleet.poll();
@@ -163,8 +173,9 @@ TEST(FleetChaos, DeathMidReconfigurationDegradesExplicitly)
               FleetManager::TenantState::Degraded);
     EXPECT_EQ(fleet.degradedCount(), 1u);
 
-    // Both cards return: the degraded tenant is re-placed with its
-    // acked write intact (blob + journal-tail replay).
+    // Both cards return: the degraded tenant is re-placed from its
+    // replica (blob + journal-tail replay). The acked-only key keeps
+    // its value; the unacked write to key 5 wins.
     plan.disarm();
     for (int i = 0; i < 50 &&
                     fleet.tenantState("only") !=
@@ -178,7 +189,8 @@ TEST(FleetChaos, DeathMidReconfigurationDegradesExplicitly)
     const auto *role =
         static_cast<const TenantRole *>(fleet.tenantRole("only"));
     ASSERT_NE(role, nullptr);
-    EXPECT_EQ(role->valueOf(5), 99u);
+    EXPECT_EQ(role->valueOf(5), 123u);
+    EXPECT_EQ(role->valueOf(7), 77u);
 }
 
 } // namespace
