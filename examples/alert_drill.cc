@@ -29,8 +29,8 @@
 #include "host/cmd_driver.h"
 #include "obs/flight_recorder.h"
 #include "obs/ops_client.h"
+#include "obs/sampler.h"
 #include "obs/slo.h"
-#include "telemetry/sampler.h"
 
 using namespace harmonia;
 
@@ -62,8 +62,7 @@ main(int argc, char **argv)
 
     // --- Observe: scrape the registry into retained history. ---
     TimeSeriesStore store;
-    Sampler sampler("sampler", reg, 1'000'000);  // every 1 us
-    sampler.attachStore(&store);
+    Sampler sampler("sampler", reg, store, 1'000'000);  // every 1 us
     engine.add(&sampler, shell->kernelClock());
 
     // --- Decide: availability SLO over the driver's counters, plus a

@@ -4,12 +4,13 @@
  * Harmonia's telemetry plane. An L4 load balancer serves traffic on a
  * unified shell while every layer — interface wrappers, RBBs, the
  * unified control kernel, the host command driver — publishes into the
- * metrics registry; a Sampler scrapes it on a fixed simulated-time
- * period. Afterwards a standalone tool walks the same registry over
- * the packetized command interface (TelemetryList / TelemetrySnapshot)
- * and checks parity with the in-process view, and the run exports a
- * Chrome trace (chrome://tracing, Perfetto) plus Prometheus-style and
- * JSON-lines metrics.
+ * metrics registry; a Sampler scrapes it into a time-series store on a
+ * fixed simulated-time period. Afterwards an ObsHub reads the card
+ * over the packetized command interface (an ObsSubscribe / ObsDelta
+ * subscription, subscribe then poll) and checks parity with the
+ * in-process view, and the run exports a Chrome trace
+ * (chrome://tracing, Perfetto) plus Prometheus-style and JSON-lines
+ * metrics.
  *
  *   $ ./ops_monitoring
  *   $ jq . ops_trace.json | head
@@ -20,29 +21,13 @@
 #include <map>
 
 #include "host/cmd_driver.h"
+#include "obs/hub.h"
+#include "obs/sampler.h"
 #include "roles/l4lb.h"
 #include "telemetry/exporter.h"
-#include "telemetry/sampler.h"
-#include "telemetry/telemetry_target.h"
 #include "workload/flow_gen.h"
 
 using namespace harmonia;
-
-namespace {
-
-std::uint64_t
-u64At(const std::vector<std::uint32_t> &d, std::size_t i)
-{
-    return (static_cast<std::uint64_t>(d[i]) << 32) | d[i + 1];
-}
-
-bool
-milliClose(std::uint64_t wire_milli, double expected)
-{
-    return std::fabs(wire_milli / 1000.0 - expected) <= 0.001;
-}
-
-} // namespace
 
 int
 main()
@@ -63,7 +48,8 @@ main()
     shell->registerTelemetry(reg);
 
     // Scrape the registry every 1 us of simulated time.
-    Sampler sampler("sampler", reg, 1'000'000);
+    TimeSeriesStore history;
+    Sampler sampler("sampler", reg, history, 1'000'000);
     engine.add(&sampler, shell->kernelClock());
 
     CmdDriver driver(engine, *shell);
@@ -90,102 +76,63 @@ main()
                 static_cast<unsigned long long>(
                     lb.stats().value("forwarded_packets")),
                 static_cast<unsigned long long>(lb.connectionCount()));
-    std::printf("sampler: %zu scrapes, %zu metrics each\n",
-                sampler.sampleCount(),
-                sampler.latest().samples.size());
+    std::printf("sampler: %llu scrapes into %zu series\n",
+                static_cast<unsigned long long>(history.ingested()),
+                history.seriesCount());
 
-    // --- A standalone tool reads the registry over commands. ---
-    CmdDriver tool(engine, *shell, kCtrlStandaloneTool);
-    tool.registerTelemetry(reg, "host/tool");
-
-    // Prime the command path first: executing List/Snapshot lazily
-    // creates their per-command-code kernel counters, which would
-    // otherwise grow the registry between baseline and walk.
-    tool.call(kRbbTelemetry, 0, kCmdTelemetryList, {0});
-    tool.call(kRbbTelemetry, 0, kCmdTelemetrySnapshot, {0});
-
-    const std::vector<MetricSample> expected = reg.snapshot();
-    std::vector<std::pair<std::string, MetricKind>> listed;
-    for (std::uint32_t start = 0;;) {
-        const CommandPacket resp =
-            tool.call(kRbbTelemetry, 0, kCmdTelemetryList, {start});
-        if (resp.status != kCmdOk) {
-            std::printf("telemetry list failed\n");
-            return 1;
-        }
-        const std::uint32_t total = resp.data[0];
-        const std::uint32_t k = resp.data[1];
-        std::size_t off = 2;
-        for (std::uint32_t i = 0; i < k; ++i) {
-            listed.emplace_back(
-                TelemetryTarget::unpackName(&resp.data[off + 2]),
-                static_cast<MetricKind>(resp.data[off + 1]));
-            off += 2 + TelemetryTarget::kNameWords;
-        }
-        start += k;
-        if (start >= total || k == 0)
-            break;
+    // --- The card read over the command plane through an ObsHub. ---
+    // Subscribe, then poll: the first poll drains every series once.
+    // The subscription's own commands lazily create their kernel
+    // per-command-code counters; the hub follows those map changes
+    // within the poll, so its map ends equal to the registry's.
+    ObsHub hub(engine);
+    hub.addDevice(device.name, "l4lb", *shell);
+    if (!hub.subscribe(device.name)) {
+        std::printf("telemetry subscription failed\n");
+        return 1;
     }
-    std::printf("\ncommand-plane walk: %zu metrics listed "
-                "(in-process registry has %zu)\n",
-                listed.size(), expected.size());
+    hub.poll(engine.now());
 
-    // Parity: names and kinds must agree everywhere; values must
-    // agree for the layers quiescent during the walk (the command
-    // path itself keeps churning uck/host counters).
+    const std::string prefix = shell->name() + "/";
+    const std::vector<ScalarSeries> expected =
+        reg.scalarSeries(prefix);
+    const std::vector<ObsMapEntry> &streamed =
+        hub.deviceMap(device.name);
+    std::printf("\ncommand-plane read via ObsHub: %zu series "
+                "(registry has %zu under %s)\n",
+                streamed.size(), expected.size(), prefix.c_str());
+
+    // Parity: full names and encodings must agree everywhere; values
+    // must agree for the layers quiescent during the read (the
+    // command path itself keeps churning uck counters).
     std::size_t value_checks = 0, mismatches = 0;
-    const bool names_ok = listed.size() == expected.size();
-    for (std::size_t i = 0; names_ok && i < listed.size(); ++i) {
-        const std::string truncated = expected[i].name.substr(
-            0, TelemetryTarget::kNameWords * 4);
-        if (listed[i].first != truncated ||
-            listed[i].second != expected[i].kind) {
-            std::printf("  name/kind mismatch at %zu: wire '%s' vs "
-                        "'%s'\n",
-                        i, listed[i].first.c_str(), truncated.c_str());
+    const bool names_ok = streamed.size() == expected.size();
+    for (std::size_t i = 0; names_ok && i < streamed.size(); ++i) {
+        const ScalarSeries &e = expected[i];
+        if (streamed[i].name != e.name ||
+            streamed[i].enc != (e.exact ? 0u : 1u)) {
+            std::printf("  name/encoding mismatch at %zu: wire '%s' "
+                        "vs '%s'\n",
+                        i, streamed[i].name.c_str(), e.name.c_str());
             ++mismatches;
             continue;
         }
         const bool quiescent =
-            expected[i].name.find("/net") != std::string::npos ||
-            expected[i].name.find("/mem") != std::string::npos;
+            e.name.find("/net") != std::string::npos ||
+            e.name.find("/mem") != std::string::npos;
         if (!quiescent)
             continue;
-        const CommandPacket resp = tool.call(
-            kRbbTelemetry, 0, kCmdTelemetrySnapshot,
-            {static_cast<std::uint32_t>(i)});
-        if (resp.status != kCmdOk) {
-            ++mismatches;
-            continue;
-        }
-        const MetricSample &e = expected[i];
-        bool ok = resp.data[0] == static_cast<std::uint32_t>(e.kind);
-        switch (e.kind) {
-          case MetricKind::Counter:
-            ok = ok && u64At(resp.data, 1) ==
-                           static_cast<std::uint64_t>(e.value);
-            break;
-          case MetricKind::Gauge:
-          case MetricKind::Rate:
-            ok = ok && milliClose(u64At(resp.data, 1), e.value);
-            break;
-          case MetricKind::Histogram:
-            ok = ok && u64At(resp.data, 1) == e.count &&
-                 u64At(resp.data, 3) == e.min &&
-                 u64At(resp.data, 5) == e.max &&
-                 milliClose(u64At(resp.data, 7), e.mean) &&
-                 milliClose(u64At(resp.data, 9), e.p50) &&
-                 milliClose(u64At(resp.data, 11), e.p99);
-            break;
-        }
+        const double got = hub.store().latest(e.name);
+        const bool ok = e.exact ? got == e.value
+                                : std::fabs(got - e.value) <= 0.001;
         ++value_checks;
         if (!ok) {
-            std::printf("  value mismatch at %zu (%s)\n", i,
-                        e.name.c_str());
+            std::printf("  value mismatch at %zu (%s): %f vs %f\n", i,
+                        e.name.c_str(), got, e.value);
             ++mismatches;
         }
     }
-    std::printf("parity: %zu quiescent metrics value-checked, "
+    std::printf("parity: %zu quiescent series value-checked, "
                 "%zu mismatches -> %s\n",
                 value_checks, mismatches,
                 names_ok && mismatches == 0 ? "OK" : "FAIL");

@@ -38,7 +38,7 @@ layerOrder()
         "rtl",       // FIFOs, arbiters, CRC primitives
         "protocol",  // AXI/Avalon models
         "device",    // chips, resources, device DB
-        "telemetry", // metrics, sampler, exporters, profiler
+        "telemetry", // metrics registry, exporters, profiler
         "cmd",       // command packets + unified control kernel
         "ip",        // vendor IP models
         "fault",     // fault plan + recovery
@@ -48,7 +48,7 @@ layerOrder()
         "drc",       // design-rule checker
         "roles",     // application roles
         "workload",  // workload generators
-        "obs",       // time-series store, SLO engine, flight recorder
+        "obs",       // sampler, time-series store, SLO, flight recorder
         "host",      // host-side drivers and DMA
         "ha",        // watchdog + failover orchestration over drivers
         "fleet",     // rack-scale scheduler over the HA + obs planes

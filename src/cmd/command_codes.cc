@@ -34,10 +34,6 @@ toString(CommandCode code)
         return "FlashErase";
       case kCmdTimeCount:
         return "TimeCount";
-      case kCmdTelemetryList:
-        return "TelemetryList";
-      case kCmdTelemetrySnapshot:
-        return "TelemetrySnapshot";
       case kCmdProfileSnapshot:
         return "ProfileSnapshot";
       case kCmdProfileReset:

@@ -30,10 +30,9 @@ enum CommandCode : std::uint16_t {
     kCmdPrLoad = 0x0020,
     kCmdPrUnload = 0x0021,
     kCmdPrStatus = 0x0022,
-    // Telemetry plane: enumerate / read the unified metrics registry
-    // the same packetized way the BMC reads sensors.
-    kCmdTelemetryList = 0x0030,
-    kCmdTelemetrySnapshot = 0x0031,
+    // 0x0030-0x0031 are reserved: the retired TelemetryList /
+    // TelemetrySnapshot polling pair. Registry values are read
+    // through the ObsSubscribe / ObsDelta stream below.
     // Causal-profiling plane: read / reset the cycle-attribution
     // profile folded from the span trace.
     kCmdProfileSnapshot = 0x0032,

@@ -192,8 +192,7 @@ DrcContext::deriveCommandPlane()
     target("health", kRbbHealth, 0);
     bind("health", kRbbHealth, 0, kCmdSensorRead, 1);
     target("telemetry", kRbbTelemetry, 0);
-    bind("telemetry", kRbbTelemetry, 0, kCmdTelemetryList, 1);
-    bind("telemetry", kRbbTelemetry, 0, kCmdTelemetrySnapshot, 2);
+    bind("telemetry", kRbbTelemetry, 0, kCmdObsDelta, 2);
     target("uck", kRbbSystem, 0);
     bind("uck", kRbbSystem, 0, kCmdFlashErase, 1);
     bind("uck", kRbbSystem, 0, kCmdTimeCount, 0);

@@ -16,6 +16,18 @@ packetWords(std::size_t data_words)
     return CommandPacket::kHdLenWords + data_words + 1;
 }
 
+// Wire shape of the retired TelemetryList / TelemetrySnapshot polling
+// pair (codes 0x0030/0x0031), kept as the baseline the stream's wire
+// cost is measured against. A List page holds kPollListBatch records
+// of { index, kind, name }; a Snapshot answers kind plus one u64 for a
+// counter, gauge or rate, or kind plus count/min/max and milli
+// mean/p50/p99 as u64 pairs for a histogram.
+constexpr std::size_t kPollListBatch = 8;
+constexpr std::size_t kPollListRecordWords =
+    2 + TelemetryTarget::kNameWords;
+constexpr std::size_t kPollScalarWords = 1 + 2;
+constexpr std::size_t kPollHistogramWords = 1 + 6 * 2;
+
 } // namespace
 
 ObsHub::ObsHub(Engine &engine, TsConfig ts_config)
@@ -117,9 +129,10 @@ ObsHub::loadMap(Device &dev)
             const std::uint32_t idx = d[at];
             if (idx >= map.size())
                 return false;
+            // Map-page names are relative to the subscribed prefix.
             map[idx].enc = d[at + 1];
-            map[idx].name =
-                TelemetryTarget::unpackName(&d[at + 2]);
+            map[idx].name = dev.status.prefix +
+                            TelemetryTarget::unpackName(&d[at + 2]);
         }
         start += k;
         if (k == 0 || start >= total)
@@ -218,8 +231,8 @@ std::uint64_t
 ObsHub::snapshotCostWords(const Device &dev) const
 {
     // What one round of the same coverage costs as snapshot polling:
-    // walk TelemetryList, then one TelemetrySnapshot per base metric
-    // (a histogram's /p50 and /p99 ride its one 13-word snapshot).
+    // walk the List pages, then one Snapshot per base metric (a
+    // histogram's /p50 and /p99 ride its one 13-word snapshot).
     std::set<std::string> names;
     for (const ObsMapEntry &e : dev.map)
         names.insert(e.name);
@@ -245,17 +258,15 @@ ObsHub::snapshotCostWords(const Device &dev) const
         // Request carries one index word; the response carries kind
         // plus the value words.
         words += packetWords(1);
-        words += packetWords(histogram ? 13 : 3);
+        words += packetWords(histogram ? kPollHistogramWords
+                                       : kPollScalarWords);
     }
 
     // List pages: request one start word, response 2 + k records.
-    constexpr std::size_t kRecord = 2 + TelemetryTarget::kNameWords;
-    for (std::size_t at = 0; at < bases;
-         at += TelemetryTarget::kListBatch) {
-        const std::size_t k =
-            std::min(TelemetryTarget::kListBatch, bases - at);
+    for (std::size_t at = 0; at < bases; at += kPollListBatch) {
+        const std::size_t k = std::min(kPollListBatch, bases - at);
         words += packetWords(1);
-        words += packetWords(2 + k * kRecord);
+        words += packetWords(2 + k * kPollListRecordWords);
     }
     return words;
 }

@@ -2,9 +2,10 @@
  * @file
  * Fleet observability hub: the host-side federation point that owns
  * streaming telemetry subscriptions (kCmdObsSubscribe / kCmdObsDelta)
- * to N simulated cards and lands every pushed series — names already
- * carrying the card's `unified_DeviceX/` prefix as the device label —
- * in one fleet-level TimeSeriesStore. On top of that store the hub
+ * to N simulated cards and lands every pushed series in one
+ * fleet-level TimeSeriesStore under its full registry name: map pages
+ * carry names relative to the subscribed `unified_DeviceX/` prefix,
+ * and the hub re-adds it as the device label. On top of that store the hub
  * computes fleet rollups (`fleet/<core>/sum`, `fleet/<core>/max`,
  * quantile-across-devices on demand) and evaluates fleet-scoped SLOs
  * with the existing burn-rate lifecycle, so "rack-wide error rate"
@@ -17,11 +18,13 @@
  * explicit full resync, and deltas carry *cumulative* values, so a
  * resync can never lose or double-count a sample. An epoch flag from
  * the card signals that the flattened series set changed; the hub
- * re-reads the map pages and keeps going. The hub also keeps an
- * honest running total of wire words moved versus what equivalent
- * full-snapshot polling (TelemetryList + per-metric
- * TelemetrySnapshot) would have cost, so the streaming win is
- * assertable in tests rather than folklore.
+ * re-reads the map pages and keeps going. The subscription stream is
+ * the only way a host reads registry values (a one-shot read is
+ * subscribe + poll). The hub also keeps an honest running total of
+ * wire words moved versus what the retired full-snapshot polling pair
+ * (a TelemetryList walk + one TelemetrySnapshot per metric, codes
+ * 0x0030/0x0031) would have cost, so the streaming win is assertable
+ * in tests rather than folklore.
  *
  * Liveness: a device whose polls fail repeatedly is marked dead and
  * skipped (its history stays queryable). Hosts running a real
@@ -146,7 +149,8 @@ class ObsHub {
     /** Status of one device; fatal()-free, asserts on unknown. */
     const ObsDeviceStatus &device(const std::string &label) const;
 
-    /** The device's frozen index map (tests, cost accounting). */
+    /** The device's frozen index map, full registry names (tests,
+     *  cost accounting, one-shot reads). */
     const std::vector<ObsMapEntry> &
     deviceMap(const std::string &label) const;
 
@@ -157,9 +161,9 @@ class ObsHub {
     std::uint64_t streamedWireWords() const { return streamedWords_; }
 
     /**
-     * Wire words the same coverage would have cost as full snapshot
-     * polling: per poll round and live device, one TelemetryList walk
-     * plus one TelemetrySnapshot per base metric.
+     * Wire words the same coverage would have cost with the retired
+     * snapshot polling pair: per poll round and live device, one
+     * TelemetryList walk plus one TelemetrySnapshot per base metric.
      */
     std::uint64_t snapshotEquivalentWords() const
     {

@@ -76,16 +76,11 @@ TimeSeriesStore::ingestPoint(Tick tick, const std::string &name,
 
 void
 TimeSeriesStore::ingest(Tick tick,
-                        const std::vector<MetricSample> &samples)
+                        const std::vector<ScalarSeries> &series)
 {
     ++ingested_;
-    for (const MetricSample &m : samples) {
-        ingestPoint(tick, m.name, m.value);
-        if (m.kind == MetricKind::Histogram) {
-            ingestPoint(tick, m.name + "/p50", m.p50);
-            ingestPoint(tick, m.name + "/p99", m.p99);
-        }
-    }
+    for (const ScalarSeries &s : series)
+        ingestPoint(tick, s.name, s.value);
 }
 
 bool

@@ -5,9 +5,9 @@
  * values; this store keeps every registered metric's recent past in
  * fixed memory — a raw ring of (tick, value) points per series plus
  * two tiered rollup rings (min/max/sum/count per window) so long
- * horizons survive after the raw ring has wrapped. The Sampler feeds
- * it on every scrape, so history for the whole registry costs one
- * attachStore() call.
+ * horizons survive after the raw ring has wrapped. A Sampler built
+ * over the store feeds it on every scrape, so history for the whole
+ * registry costs one component.
  *
  * Queries are windowed: delta and rate for counters, min/max/mean for
  * gauges, and sliding percentiles computed by folding the window's
@@ -91,13 +91,13 @@ class TimeSeriesStore {
     const TsConfig &config() const { return config_; }
 
     /**
-     * Record one scrape: every scalar sample lands under its metric
-     * name; a histogram sample additionally lands its p50/p99 under
-     * `<name>/p50` and `<name>/p99` so percentile history is queryable
-     * like any gauge. Series are created lazily up to maxSeries;
-     * excess series are dropped and counted.
+     * Record one scrape of MetricsRegistry::scalarSeries(): every
+     * series lands under its name, so a histogram's `<name>/p50` and
+     * `<name>/p99` history is queryable like any gauge. Series are
+     * created lazily up to maxSeries; excess series are dropped and
+     * counted.
      */
-    void ingest(Tick tick, const std::vector<MetricSample> &samples);
+    void ingest(Tick tick, const std::vector<ScalarSeries> &series);
 
     /** Record one point of one series (tests, derived metrics). */
     void ingestPoint(Tick tick, const std::string &name, double value);

@@ -92,8 +92,8 @@ class Shell {
      * Publish the whole shell — every RBB with its wrappers, the
      * control kernel and the health monitor — into @p reg under this
      * shell's name. Hosts then read the same registry in-process or
-     * over TelemetryList/TelemetrySnapshot commands at
-     * (kRbbTelemetry, 0).
+     * through an ObsSubscribe / ObsDelta subscription at
+     * (kRbbTelemetry, 0), e.g. with an ObsHub.
      */
     void registerTelemetry(MetricsRegistry &reg =
                                MetricsRegistry::instance());

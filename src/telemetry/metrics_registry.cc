@@ -184,4 +184,29 @@ MetricsRegistry::snapshot() const
     return out;
 }
 
+std::vector<ScalarSeries>
+MetricsRegistry::scalarSeries(const std::string &prefix) const
+{
+    std::vector<ScalarSeries> out;
+    for (const MetricSample &s : snapshot()) {
+        if (s.name.compare(0, prefix.size(), prefix) != 0)
+            continue;
+        // A histogram's value is its count: exact, like a counter's.
+        const bool histogram = s.kind == MetricKind::Histogram;
+        out.push_back(
+            {s.name, s.value, histogram || s.kind == MetricKind::Counter});
+        if (histogram) {
+            out.push_back({s.name + "/p50", s.p50, false});
+            out.push_back({s.name + "/p99", s.p99, false});
+        }
+    }
+    // The snapshot is name-sorted, but the /p50 and /p99 series can
+    // interleave with sibling metric names.
+    std::sort(out.begin(), out.end(),
+              [](const ScalarSeries &a, const ScalarSeries &b) {
+                  return a.name < b.name;
+              });
+    return out;
+}
+
 } // namespace harmonia

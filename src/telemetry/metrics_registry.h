@@ -49,6 +49,17 @@ struct MetricSample {
     double p99 = 0.0;
 };
 
+/**
+ * One scalar series of the flattened registry: what the time-series
+ * store retains and what a telemetry subscription streams.
+ */
+struct ScalarSeries {
+    std::string name;
+    double value = 0.0;
+    /** The value is an exact integer (counters, histogram counts). */
+    bool exact = false;
+};
+
 /** Handle for unregistering; stable for the registry's lifetime. */
 using MetricId = std::uint64_t;
 
@@ -86,11 +97,19 @@ class MetricsRegistry {
     std::size_t size() const { return entries_.size(); }
 
     /**
-     * Snapshot every metric, StatGroups expanded, sorted by name. The
-     * order is deterministic, so an index into this vector is a stable
-     * wire handle for the telemetry command target.
+     * Snapshot every metric, StatGroups expanded, sorted by name (the
+     * exporters' input; histograms carry their full summary).
      */
     std::vector<MetricSample> snapshot() const;
+
+    /**
+     * The snapshot flattened into scalar series: counters, gauges and
+     * rates keep their name and value; a histogram becomes `name`
+     * (its count), `name/p50` and `name/p99`. Only names starting
+     * with @p prefix (all when empty), name-sorted.
+     */
+    std::vector<ScalarSeries>
+    scalarSeries(const std::string &prefix = "") const;
 
     /** Drop everything (tests). Outstanding ids become stale no-ops. */
     void clear();

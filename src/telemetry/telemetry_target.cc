@@ -1,6 +1,5 @@
 #include "telemetry/telemetry_target.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/fnv.h"
@@ -27,58 +26,27 @@ milli(double v)
     return static_cast<std::uint64_t>(std::llround(v * 1000.0));
 }
 
-/** A flattened scalar series plus its current encoded value. */
-struct FlatSample {
-    ObsMapEntry entry;
-    std::uint64_t value = 0;
-};
-
-/**
- * Flatten the registry snapshot into the scalar series a subscription
- * streams, with current encoded values. Name-sorted; filtered to
- * names starting with @p prefix when non-empty.
- */
-std::vector<FlatSample>
-flattenValues(const MetricsRegistry &registry,
-              const std::string &prefix)
+/** The wire encoding of a series: 0 = exact u64, 1 = milli. */
+std::uint32_t
+encodingOf(const ScalarSeries &s)
 {
-    std::vector<FlatSample> out;
-    for (const MetricSample &s : registry.snapshot()) {
-        if (!prefix.empty() &&
-            s.name.compare(0, prefix.size(), prefix) != 0)
-            continue;
-        switch (s.kind) {
-          case MetricKind::Counter:
-            out.push_back(
-                {{s.name, 0}, static_cast<std::uint64_t>(s.value)});
-            break;
-          case MetricKind::Gauge:
-          case MetricKind::Rate:
-            out.push_back({{s.name, 1}, milli(s.value)});
-            break;
-          case MetricKind::Histogram:
-            out.push_back({{s.name, 0}, s.count});
-            out.push_back({{s.name + "/p50", 1}, milli(s.p50)});
-            out.push_back({{s.name + "/p99", 1}, milli(s.p99)});
-            break;
-        }
-    }
-    // The registry snapshot is name-sorted, but the synthesized /p50
-    // and /p99 entries can interleave with sibling metric names.
-    std::sort(out.begin(), out.end(),
-              [](const FlatSample &a, const FlatSample &b) {
-                  return a.entry.name < b.entry.name;
-              });
-    return out;
+    return s.exact ? 0 : 1;
 }
 
-/** FNV-1a over the map's names and encodings: the map identity. */
+/** A series' value in its wire encoding. */
 std::uint64_t
-mapHash(const std::vector<FlatSample> &flat)
+encode(const ScalarSeries &s)
+{
+    return s.exact ? static_cast<std::uint64_t>(s.value) : milli(s.value);
+}
+
+/** FNV-1a over the full names and encodings: the map identity. */
+std::uint64_t
+mapHash(const std::vector<ScalarSeries> &series)
 {
     Fnv1a64 h;
-    for (const FlatSample &f : flat)
-        h.str(f.entry.name).byte(static_cast<std::uint8_t>(f.entry.enc));
+    for (const ScalarSeries &s : series)
+        h.str(s.name).byte(static_cast<std::uint8_t>(encodingOf(s)));
     return h.value();
 }
 
@@ -121,58 +89,6 @@ TelemetryTarget::unpackName(const std::uint32_t *words, std::size_t n)
             out += c;
         }
     return out;
-}
-
-CommandResult
-TelemetryTarget::list(const std::vector<std::uint32_t> &data)
-{
-    const std::vector<MetricSample> snap = registry_.snapshot();
-    const std::size_t start = data.empty() ? 0 : data[0];
-
-    CommandResult res;
-    res.data.push_back(static_cast<std::uint32_t>(snap.size()));
-    res.data.push_back(0);  // record count, patched below
-    std::uint32_t k = 0;
-    for (std::size_t i = start;
-         i < snap.size() && k < kListBatch; ++i, ++k) {
-        res.data.push_back(static_cast<std::uint32_t>(i));
-        res.data.push_back(static_cast<std::uint32_t>(snap[i].kind));
-        packName(res.data, snap[i].name);
-    }
-    res.data[1] = k;
-    return res;
-}
-
-CommandResult
-TelemetryTarget::snapshotOne(const std::vector<std::uint32_t> &data)
-{
-    if (data.empty())
-        return {kCmdBadArgument, {}};
-    const std::vector<MetricSample> snap = registry_.snapshot();
-    if (data[0] >= snap.size())
-        return {kCmdBadArgument, {}};
-    const MetricSample &s = snap[data[0]];
-
-    CommandResult res;
-    res.data.push_back(static_cast<std::uint32_t>(s.kind));
-    switch (s.kind) {
-      case MetricKind::Counter:
-        pushU64(res.data, static_cast<std::uint64_t>(s.value));
-        break;
-      case MetricKind::Gauge:
-      case MetricKind::Rate:
-        pushU64(res.data, milli(s.value));
-        break;
-      case MetricKind::Histogram:
-        pushU64(res.data, s.count);
-        pushU64(res.data, s.min);
-        pushU64(res.data, s.max);
-        pushU64(res.data, milli(s.mean));
-        pushU64(res.data, milli(s.p50));
-        pushU64(res.data, milli(s.p99));
-        break;
-    }
-    return res;
 }
 
 CommandResult
@@ -281,25 +197,15 @@ TelemetryTarget::flightDump()
     return res;
 }
 
-std::vector<ObsMapEntry>
-TelemetryTarget::flattenSeries(const MetricsRegistry &registry,
-                               const std::string &prefix)
-{
-    std::vector<ObsMapEntry> out;
-    for (const FlatSample &f : flattenValues(registry, prefix))
-        out.push_back(f.entry);
-    return out;
-}
-
 void
 TelemetryTarget::freezeMap(Subscription &sub)
 {
-    const std::vector<FlatSample> flat =
-        flattenValues(registry_, sub.prefix);
+    const std::vector<ScalarSeries> series =
+        registry_.scalarSeries(sub.prefix);
     sub.map.clear();
-    for (const FlatSample &f : flat)
-        sub.map.push_back(f.entry);
-    sub.map_hash = mapHash(flat);
+    for (const ScalarSeries &s : series)
+        sub.map.push_back({s.name, encodingOf(s)});
+    sub.map_hash = mapHash(series);
     sub.shadow.assign(sub.map.size(), 0);
     sub.sent.assign(sub.map.size(), false);
     ++sub.epoch;
@@ -309,12 +215,12 @@ void
 TelemetryTarget::produceDelta(Subscription &sub,
                               std::vector<std::uint32_t> &out)
 {
-    const std::vector<FlatSample> flat =
-        flattenValues(registry_, sub.prefix);
+    const std::vector<ScalarSeries> series =
+        registry_.scalarSeries(sub.prefix);
 
     ++sub.seq;
     out.clear();
-    if (mapHash(flat) != sub.map_hash) {
+    if (mapHash(series) != sub.map_hash) {
         // The flattened series set changed under the subscriber:
         // re-freeze, clear the shadow, and let the response carry
         // only the new epoch; the subscriber re-reads the map pages
@@ -333,8 +239,8 @@ TelemetryTarget::produceDelta(Subscription &sub,
     out.push_back(0);  // k, patched below
     std::uint32_t k = 0;
     std::uint32_t flags = 0;
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-        const std::uint64_t v = flat[i].value;
+    for (std::size_t i = 0; i < series.size(); ++i) {
+        const std::uint64_t v = encode(series[i]);
         if (sub.sent[i] && sub.shadow[i] == v)
             continue;
         if (k == kDeltaBatch) {
@@ -392,7 +298,8 @@ TelemetryTarget::obsSubscribe(const std::vector<std::uint32_t> &data)
         return {};
     }
 
-    // Map page.
+    // Map page. Names travel relative to the prefix the subscriber
+    // sent, so prefixed names keep every packed character distinct.
     const std::size_t start = data[1];
     CommandResult res;
     res.data.push_back(static_cast<std::uint32_t>(sub.map.size()));
@@ -402,7 +309,7 @@ TelemetryTarget::obsSubscribe(const std::vector<std::uint32_t> &data)
          i < sub.map.size() && k < kMapBatch; ++i, ++k) {
         res.data.push_back(static_cast<std::uint32_t>(i));
         res.data.push_back(sub.map[i].enc);
-        packName(res.data, sub.map[i].name);
+        packName(res.data, sub.map[i].name.substr(sub.prefix.size()));
     }
     res.data[1] = k;
     return res;
@@ -446,10 +353,6 @@ TelemetryTarget::executeCommand(std::uint16_t code,
                                 const std::vector<std::uint32_t> &data)
 {
     switch (code) {
-      case kCmdTelemetryList:
-        return list(data);
-      case kCmdTelemetrySnapshot:
-        return snapshotOne(data);
       case kCmdProfileSnapshot:
         return profileSnapshot(data);
       case kCmdProfileReset:

@@ -3,22 +3,12 @@
  * Command-plane access to the telemetry registry: a CommandTarget the
  * shell registers at (kRbbTelemetry, 0) so hosts, BMCs and standalone
  * tools read the whole metrics registry through the same packetized
- * command interface the paper uses for sensors (§3.3.3).
+ * command interface the paper uses for sensors (§3.3.3). Registry
+ * values have one read path, the ObsSubscribe / ObsDelta stream; a
+ * one-shot read is a subscribe, a map walk and a single delta. Names
+ * are packed as kNameWords words of NUL-padded ASCII.
  *
  * Wire protocol (all values 32-bit words):
- *
- *   TelemetryList  data[0] = start index (optional, default 0)
- *     -> [ total, k, then k records of
- *          { index, kind, name[kNameWords] (NUL-padded ASCII) } ]
- *
- *   TelemetrySnapshot  data[0] = metric index (from the List order)
- *     -> counters:            [ kind, value_hi, value_lo ]
- *        gauges/rates:        [ kind, milli_hi, milli_lo ]   (x1000)
- *        histograms:          [ kind, count_hi, count_lo,
- *                               min_hi, min_lo, max_hi, max_lo,
- *                               mean_milli_hi, mean_milli_lo,
- *                               p50_milli_hi, p50_milli_lo,
- *                               p99_milli_hi, p99_milli_lo ]
  *
  *   ProfileSnapshot  data[0] = start index (optional, default 0)
  *     -> [ total, k, then k records of
@@ -50,13 +40,16 @@
  *   ObsSubscribe  (streaming-subscription control; DESIGN.md §15)
  *     open:      data = [ 0 ] or [ 0, prefix[kNameWords] ]
  *       -> [ subId, epoch, seriesCount, mapHash_hi, mapHash_lo ]
- *       The card freezes a name-sorted *index map* of flattened
- *       scalar series (counters and gauges one entry; a histogram
- *       explodes into `name` (count), `name/p50`, `name/p99`) whose
- *       names start with the optional prefix filter.
+ *       The card freezes a name-sorted *index map* of the registry's
+ *       scalar series (MetricsRegistry::scalarSeries) whose names
+ *       start with the optional prefix filter. The map hash covers
+ *       the full names and encodings.
  *     map page:  data = [ subId, start ]
  *       -> [ seriesCount, k, then k records of
  *            { mapIndex, enc, name[kNameWords] } ]
+ *       Names are relative to the subscription's prefix (the
+ *       subscriber re-adds it), so a prefixed series name keeps its
+ *       full kNameWords of distinguishing characters.
  *       enc 0 = exact u64, enc 1 = milli-scaled u64 (x1000).
  *     close:     data = [ subId ]  -> []
  *
@@ -73,9 +66,8 @@
  *     response, so a subscriber that sees seq jump by more than one
  *     knows a response was lost and must request a full resync.
  *
- * Indices are positions in the registry's name-sorted snapshot, so a
- * List immediately followed by Snapshots observes a consistent view
- * as long as no module registers or unregisters in between.
+ * Command codes 0x0030 and 0x0031 (the retired TelemetryList /
+ * TelemetrySnapshot polling pair) answer kCmdUnknownCode.
  */
 
 #ifndef HARMONIA_TELEMETRY_TELEMETRY_TARGET_H_
@@ -101,11 +93,8 @@ struct ObsMapEntry {
 
 class TelemetryTarget : public CommandTarget {
   public:
-    /** Words of packed metric name per List record (4 chars each). */
+    /** Words of packed name per record (4 chars each). */
     static constexpr std::size_t kNameWords = 12;
-
-    /** List records per response (bounded by PayloadLen's 8 bits). */
-    static constexpr std::size_t kListBatch = 8;
 
     /** Profile records per response (wider records, smaller batch). */
     static constexpr std::size_t kProfileBatch = 4;
@@ -154,26 +143,14 @@ class TelemetryTarget : public CommandTarget {
         recorder_ = recorder;
     }
 
-    /** Decode a List record's packed name (tests, host tooling). */
+    /** Decode a record's packed name (tests, host tooling). */
     static std::string unpackName(const std::uint32_t *words,
                                   std::size_t n = kNameWords);
 
-    /** Append a name packed the way List records carry it (host
-     *  tooling builds ObsSubscribe prefixes with this). */
+    /** Append a name packed the way records carry it (host tooling
+     *  builds ObsSubscribe prefixes with this). */
     static void packNameTo(std::vector<std::uint32_t> &out,
                            const std::string &name);
-
-    /**
-     * Flatten the registry into the scalar series a subscription
-     * streams: counters/gauges/rates keep their name, histograms
-     * explode into `name` (count) plus milli-scaled `name/p50` and
-     * `name/p99`. Name-sorted; filtered to names starting with
-     * `prefix` when non-empty. Exposed for host tooling that needs
-     * the same flattening (ObsHub snapshot-cost accounting, tests).
-     */
-    static std::vector<ObsMapEntry>
-    flattenSeries(const MetricsRegistry &registry,
-                  const std::string &prefix);
 
     /** Live subscriptions (tests). */
     std::size_t subscriptionCount() const { return subs_.size(); }
@@ -190,7 +167,7 @@ class TelemetryTarget : public CommandTarget {
   private:
     struct Subscription {
         std::string prefix;  ///< name filter ("" = everything)
-        std::vector<ObsMapEntry> map;  ///< frozen name-sorted index map
+        std::vector<ObsMapEntry> map;  ///< frozen map, full names
         std::uint64_t map_hash = 0;  ///< FNV-1a over map names+enc
         /** Last value sent per map index; entries in `sent` are
          *  false until the series has been transmitted once. */
@@ -200,8 +177,6 @@ class TelemetryTarget : public CommandTarget {
         std::uint32_t seq = 0;  ///< increments per produced delta
     };
 
-    CommandResult list(const std::vector<std::uint32_t> &data);
-    CommandResult snapshotOne(const std::vector<std::uint32_t> &data);
     CommandResult
     profileSnapshot(const std::vector<std::uint32_t> &data);
     CommandResult profileReset();

@@ -31,11 +31,10 @@ allCodes()
         kCmdModuleReset,      kCmdTableWrite,        kCmdTableRead,
         kCmdStatsSnapshot,    kCmdQueueConfig,       kCmdSensorRead,
         kCmdFlashErase,       kCmdTimeCount,         kCmdPrLoad,
-        kCmdPrUnload,         kCmdPrStatus,          kCmdTelemetryList,
-        kCmdTelemetrySnapshot, kCmdProfileSnapshot,  kCmdProfileReset,
-        kCmdSloStatus,        kCmdAlertSnapshot,     kCmdFlightDump,
-        kCmdCheckpoint,       kCmdRestore,           kCmdObsSubscribe,
-        kCmdObsDelta,
+        kCmdPrUnload,         kCmdPrStatus,          kCmdProfileSnapshot,
+        kCmdProfileReset,     kCmdSloStatus,         kCmdAlertSnapshot,
+        kCmdFlightDump,       kCmdCheckpoint,        kCmdRestore,
+        kCmdObsSubscribe,     kCmdObsDelta,
     };
     return codes;
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "cmd/command_codes.h"
 #include "common/logging.h"
@@ -27,9 +28,14 @@ openSub(TelemetryTarget &target, const std::string &prefix = "")
     return r.data.empty() ? 0 : r.data[0];
 }
 
-/** Walk the map pages of one subscription into index order. */
+/**
+ * Walk the map pages of one subscription into index order, re-adding
+ * the subscribed @p prefix to each page's prefix-relative name the
+ * way ObsHub does.
+ */
 std::vector<ObsMapEntry>
-walkMap(TelemetryTarget &target, std::uint32_t sub_id)
+walkMap(TelemetryTarget &target, std::uint32_t sub_id,
+        const std::string &prefix = "")
 {
     constexpr std::size_t kRecord = 2 + TelemetryTarget::kNameWords;
     std::vector<ObsMapEntry> map;
@@ -48,7 +54,7 @@ walkMap(TelemetryTarget &target, std::uint32_t sub_id)
             EXPECT_LT(idx, map.size());
             map[idx].enc = r.data[at + 1];
             map[idx].name =
-                TelemetryTarget::unpackName(&r.data[at + 2]);
+                prefix + TelemetryTarget::unpackName(&r.data[at + 2]);
         }
         start += k;
         if (k == 0 || start >= total)
@@ -106,6 +112,17 @@ deltaValue(const DecodedDelta &d, const std::vector<ObsMapEntry> &map,
     return -1.0;
 }
 
+/** Raw wire value of @p name in a decoded delta; ~0 when absent. */
+std::uint64_t
+deltaRaw(const DecodedDelta &d, const std::vector<ObsMapEntry> &map,
+         const std::string &name)
+{
+    for (const auto &[idx, raw] : d.records)
+        if (idx < map.size() && map[idx].name == name)
+            return raw;
+    return ~std::uint64_t{0};
+}
+
 // --- Protocol level: TelemetryTarget against a local registry. -----
 
 TEST(Federation, SubscribeFreezesSortedFilteredMap)
@@ -121,7 +138,7 @@ TEST(Federation, SubscribeFreezesSortedFilteredMap)
 
     TelemetryTarget target(reg);
     const std::uint32_t sub = openSub(target, "a/");
-    const std::vector<ObsMapEntry> map = walkMap(target, sub);
+    const std::vector<ObsMapEntry> map = walkMap(target, sub, "a/");
 
     // Histogram explodes into count + /p50 + /p99; "b/z" filtered
     // out; order is name-sorted.
@@ -139,10 +156,17 @@ TEST(Federation, SubscribeFreezesSortedFilteredMap)
 TEST(Federation, DeltaSendsEverythingOnceThenOnlyChanges)
 {
     MetricsRegistry reg;
-    Counter ca, cb;
+    Counter ca, cb, big;
     ca.inc(5);
+    big.inc(123456789);
+    Histogram h(1000, 64);
+    for (std::uint64_t v : {1'000ull, 5'000ull, 60'000ull})
+        h.sample(v);
     reg.addCounter("s/a", &ca);
     reg.addCounter("s/b", &cb);
+    reg.addCounter("s/big", &big);
+    reg.addGauge("s/depth", [] { return 2.25; });
+    reg.addHistogram("s/lat", &h);
 
     TelemetryTarget target(reg);
     const std::uint32_t sub = openSub(target);
@@ -152,9 +176,20 @@ TEST(Federation, DeltaSendsEverythingOnceThenOnlyChanges)
     DecodedDelta d = readDelta(target, sub);
     EXPECT_EQ(d.seq, 1u);
     EXPECT_EQ(d.flags, 0u);
-    ASSERT_EQ(d.records.size(), 2u);
+    ASSERT_EQ(d.records.size(), 7u);
     EXPECT_EQ(deltaValue(d, map, "s/a"), 5.0);
     EXPECT_EQ(deltaValue(d, map, "s/b"), 0.0);
+    // Counters are exact; gauges travel milli-scaled; a histogram's
+    // count is exact and its p50/p99 are milli-scaled.
+    const MetricSample lat = reg.snapshot().back();
+    ASSERT_EQ(lat.name, "s/lat");
+    EXPECT_EQ(deltaRaw(d, map, "s/big"), 123456789u);
+    EXPECT_EQ(deltaRaw(d, map, "s/depth"), 2250u);
+    EXPECT_EQ(deltaRaw(d, map, "s/lat"), 3u);
+    EXPECT_EQ(deltaRaw(d, map, "s/lat/p50"),
+              static_cast<std::uint64_t>(lat.p50 * 1000 + 0.5));
+    EXPECT_EQ(deltaRaw(d, map, "s/lat/p99"),
+              static_cast<std::uint64_t>(lat.p99 * 1000 + 0.5));
 
     // Quiescent: nothing to send, seq still advances.
     d = readDelta(target, sub);
@@ -180,6 +215,14 @@ TEST(Federation, DeltaBatchesWithMorePendingFlag)
 
     TelemetryTarget target(reg);
     const std::uint32_t sub = openSub(target);
+
+    // The map walk pages past kMapBatch and fills every index in
+    // name order.
+    ASSERT_GT(counters.size(), TelemetryTarget::kMapBatch);
+    const std::vector<ObsMapEntry> map = walkMap(target, sub);
+    ASSERT_EQ(map.size(), counters.size());
+    for (std::size_t i = 0; i < map.size(); ++i)
+        EXPECT_EQ(map[i].name, format("m/%03zu", i));
 
     DecodedDelta d = readDelta(target, sub);
     EXPECT_EQ(d.records.size(), TelemetryTarget::kDeltaBatch);
@@ -307,6 +350,51 @@ TEST(Federation, SubscriptionCapacityAndClose)
 }
 
 // --- Hub level: streaming federation over a real shell. ------------
+
+/** Map names equal the registry's full names, all distinct. */
+void
+expectFullNames(const std::vector<ObsMapEntry> &map,
+                const std::vector<ScalarSeries> &expected)
+{
+    ASSERT_EQ(map.size(), expected.size());
+    std::set<std::string> distinct;
+    for (std::size_t i = 0; i < map.size(); ++i) {
+        EXPECT_EQ(map[i].name, expected[i].name);
+        distinct.insert(map[i].name);
+    }
+    EXPECT_EQ(distinct.size(), map.size());
+}
+
+TEST(Federation, HubMapNamesAreFullRegistryNames)
+{
+    Engine engine;
+    auto shell = Shell::makeUnified(
+        engine, DeviceDatabase::instance().byName("DeviceA"));
+    shell->registerTelemetry();
+    const std::string prefix = shell->name() + "/";
+    const MetricsRegistry &reg = MetricsRegistry::instance();
+
+    // Map pages carry names relative to the subscribed prefix, so the
+    // long wrapper-latency names and their /p50 and /p99 series stay
+    // distinct after the hub re-adds the prefix. The subscription
+    // freezes the registry as it was before its own commands bumped
+    // the kernel's per-command counters.
+    const std::vector<ScalarSeries> frozen = reg.scalarSeries(prefix);
+    ObsHub hub(engine);
+    ASSERT_TRUE(hub.addDevice("DeviceA", "uut", *shell));
+    ASSERT_TRUE(hub.subscribe("DeviceA"));
+    EXPECT_EQ(frozen.size(), 46u);
+    expectFullNames(hub.deviceMap("DeviceA"), frozen);
+    EXPECT_TRUE(std::any_of(frozen.begin(), frozen.end(),
+                            [](const ScalarSeries &s) {
+                                return s.name.size() >
+                                       TelemetryTarget::kNameWords * 4;
+                            }));
+
+    // A poll follows the counters those commands created.
+    hub.poll(engine.now());
+    expectFullNames(hub.deviceMap("DeviceA"), reg.scalarSeries(prefix));
+}
 
 TEST(Federation, HubStreamsFewerWireWordsThanSnapshotPolling)
 {

@@ -149,25 +149,6 @@ TEST(TimeSeries, PercentileOverWindow)
     EXPECT_LT(p50, p99);
 }
 
-TEST(TimeSeries, HistogramSamplesSpawnPercentileSeries)
-{
-    TimeSeriesStore store;
-    MetricSample m;
-    m.name = "lat";
-    m.kind = MetricKind::Histogram;
-    m.value = 10.0;
-    m.p50 = 40.0;
-    m.p99 = 90.0;
-    store.ingest(500, {m});
-
-    EXPECT_TRUE(store.has("lat"));
-    EXPECT_TRUE(store.has("lat/p50"));
-    EXPECT_TRUE(store.has("lat/p99"));
-    EXPECT_EQ(store.latest("lat/p50"), 40.0);
-    EXPECT_EQ(store.latest("lat/p99"), 90.0);
-    EXPECT_EQ(store.ingested(), 1u);
-}
-
 TEST(TimeSeries, MaxSeriesBoundDropsExcess)
 {
     TsConfig cfg;

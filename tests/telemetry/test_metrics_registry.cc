@@ -37,6 +37,49 @@ TEST(MetricsRegistry, SnapshotSortedAndTyped)
     EXPECT_DOUBLE_EQ(snap[3].value, 7.0);
 }
 
+TEST(MetricsRegistry, ScalarSeriesFlattenHistograms)
+{
+    MetricsRegistry reg;
+    Counter c, sibling;
+    c.inc(7);
+    Histogram h(10, 8);
+    h.sample(15);
+    h.sample(35);
+    reg.addCounter("m/count", &c);
+    reg.addGauge("m/depth", [] { return 3.5; });
+    reg.addHistogram("m/lat", &h);
+    reg.addCounter("m/lat/a", &sibling);
+    reg.addCounter("other/x", &c);
+
+    const std::vector<MetricSample> snap = reg.snapshot();
+    const MetricSample &lat = snap[2];
+    ASSERT_EQ(lat.name, "m/lat");
+
+    // A histogram becomes count + /p50 + /p99; the percentile series
+    // sort among their siblings; the prefix filters "other/".
+    const std::vector<ScalarSeries> series = reg.scalarSeries("m/");
+    ASSERT_EQ(series.size(), 6u);
+    EXPECT_EQ(series[0].name, "m/count");
+    EXPECT_EQ(series[0].value, 7.0);
+    EXPECT_TRUE(series[0].exact);
+    EXPECT_EQ(series[1].name, "m/depth");
+    EXPECT_EQ(series[1].value, 3.5);
+    EXPECT_FALSE(series[1].exact);
+    EXPECT_EQ(series[2].name, "m/lat");
+    EXPECT_EQ(series[2].value, 2.0);  // the count
+    EXPECT_TRUE(series[2].exact);
+    EXPECT_EQ(series[3].name, "m/lat/a");
+    EXPECT_EQ(series[4].name, "m/lat/p50");
+    EXPECT_EQ(series[4].value, lat.p50);
+    EXPECT_FALSE(series[4].exact);
+    EXPECT_EQ(series[5].name, "m/lat/p99");
+    EXPECT_EQ(series[5].value, lat.p99);
+    EXPECT_FALSE(series[5].exact);
+
+    // No prefix: every series.
+    EXPECT_EQ(reg.scalarSeries().size(), 7u);
+}
+
 TEST(MetricsRegistry, GroupExpandsLazilyCreatedCounters)
 {
     MetricsRegistry reg;

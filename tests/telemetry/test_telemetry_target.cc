@@ -9,112 +9,26 @@
 namespace harmonia {
 namespace {
 
-/** Walk the List command until every metric has been enumerated. */
-std::vector<std::pair<std::string, MetricKind>>
-listAll(TelemetryTarget &target)
-{
-    std::vector<std::pair<std::string, MetricKind>> out;
-    std::uint32_t start = 0;
-    for (;;) {
-        const CommandResult res =
-            target.executeCommand(kCmdTelemetryList, {start});
-        EXPECT_EQ(res.status, kCmdOk);
-        const std::uint32_t total = res.data[0];
-        const std::uint32_t k = res.data[1];
-        std::size_t off = 2;
-        for (std::uint32_t i = 0; i < k; ++i) {
-            const auto kind =
-                static_cast<MetricKind>(res.data[off + 1]);
-            out.emplace_back(
-                TelemetryTarget::unpackName(&res.data[off + 2]),
-                kind);
-            off += 2 + TelemetryTarget::kNameWords;
-        }
-        start += k;
-        if (start >= total || k == 0)
-            break;
-    }
-    return out;
-}
-
 std::uint64_t
 u64At(const std::vector<std::uint32_t> &d, std::size_t i)
 {
     return (static_cast<std::uint64_t>(d[i]) << 32) | d[i + 1];
 }
 
-TEST(TelemetryTarget, ListWalksWholeRegistryInBatches)
-{
-    MetricsRegistry reg;
-    std::vector<Counter> counters(TelemetryTarget::kListBatch * 2 + 3);
-    for (std::size_t i = 0; i < counters.size(); ++i)
-        reg.addCounter(format("m/%02zu", i), &counters[i]);
-
-    TelemetryTarget target(reg);
-    const auto all = listAll(target);
-    ASSERT_EQ(all.size(), counters.size());
-    // List order is the registry's name-sorted snapshot order.
-    EXPECT_EQ(all.front().first, "m/00");
-    EXPECT_EQ(all.back().first,
-              format("m/%02zu", counters.size() - 1));
-}
-
-TEST(TelemetryTarget, SnapshotMatchesInProcessRegistry)
-{
-    MetricsRegistry reg;
-    Counter c;
-    c.inc(123456789);
-    Histogram h(1000, 64);
-    for (std::uint64_t v : {1'000ull, 5'000ull, 60'000ull})
-        h.sample(v);
-    reg.addCounter("a/count", &c);
-    reg.addGauge("b/depth", [] { return 2.25; });
-    reg.addHistogram("c/lat", &h);
-
-    TelemetryTarget target(reg);
-    const std::vector<MetricSample> snap = reg.snapshot();
-    ASSERT_EQ(snap.size(), 3u);
-
-    // Counter: exact 64-bit value.
-    CommandResult r = target.executeCommand(kCmdTelemetrySnapshot, {0});
-    ASSERT_EQ(r.status, kCmdOk);
-    EXPECT_EQ(r.data[0],
-              static_cast<std::uint32_t>(MetricKind::Counter));
-    EXPECT_EQ(u64At(r.data, 1), 123456789u);
-
-    // Gauge: milli fixed-point.
-    r = target.executeCommand(kCmdTelemetrySnapshot, {1});
-    ASSERT_EQ(r.status, kCmdOk);
-    EXPECT_EQ(r.data[0],
-              static_cast<std::uint32_t>(MetricKind::Gauge));
-    EXPECT_EQ(u64At(r.data, 1), 2250u);
-
-    // Histogram: count/min/max exact, mean/p50/p99 in millis.
-    r = target.executeCommand(kCmdTelemetrySnapshot, {2});
-    ASSERT_EQ(r.status, kCmdOk);
-    EXPECT_EQ(r.data[0],
-              static_cast<std::uint32_t>(MetricKind::Histogram));
-    EXPECT_EQ(u64At(r.data, 1), snap[2].count);
-    EXPECT_EQ(u64At(r.data, 3), snap[2].min);
-    EXPECT_EQ(u64At(r.data, 5), snap[2].max);
-    EXPECT_EQ(u64At(r.data, 7),
-              static_cast<std::uint64_t>(snap[2].mean * 1000 + 0.5));
-    EXPECT_EQ(u64At(r.data, 9),
-              static_cast<std::uint64_t>(snap[2].p50 * 1000 + 0.5));
-    EXPECT_EQ(u64At(r.data, 11),
-              static_cast<std::uint64_t>(snap[2].p99 * 1000 + 0.5));
-}
-
 TEST(TelemetryTarget, BadIndexAndUnknownCodeAreRejected)
 {
     MetricsRegistry reg;
     TelemetryTarget target(reg);
-    EXPECT_EQ(target.executeCommand(kCmdTelemetrySnapshot, {}).status,
+    EXPECT_EQ(target.executeCommand(kCmdObsDelta, {}).status,
               kCmdBadArgument);
-    EXPECT_EQ(target.executeCommand(kCmdTelemetrySnapshot, {0}).status,
+    EXPECT_EQ(target.executeCommand(kCmdObsDelta, {7}).status,
               kCmdBadArgument);
     EXPECT_EQ(target.executeCommand(kCmdTableWrite, {}).status,
               kCmdUnknownCode);
+    // The retired TelemetryList / TelemetrySnapshot polling codes.
+    for (const std::uint16_t retired : {0x0030, 0x0031})
+        EXPECT_EQ(target.executeCommand(retired, {0}).status,
+                  kCmdUnknownCode);
 }
 
 TEST(TelemetryTarget, StatusReadReportsRegistrySize)
@@ -134,14 +48,23 @@ TEST(TelemetryTarget, LongNamesTruncateCleanly)
 {
     MetricsRegistry reg;
     Counter c;
-    const std::string long_name(TelemetryTarget::kNameWords * 4 + 20,
-                                'x');
-    reg.addCounter(long_name, &c);
+    const std::string relative(TelemetryTarget::kNameWords * 4 + 20,
+                               'x');
+    reg.addCounter("card/" + relative, &c);
     TelemetryTarget target(reg);
-    const auto all = listAll(target);
-    ASSERT_EQ(all.size(), 1u);
-    // Truncated to the packed width, never garbled.
-    EXPECT_EQ(all[0].first,
+
+    std::vector<std::uint32_t> open{0};
+    TelemetryTarget::packNameTo(open, "card/");
+    const CommandResult sub =
+        target.executeCommand(kCmdObsSubscribe, open);
+    ASSERT_EQ(sub.status, kCmdOk);
+    const CommandResult page =
+        target.executeCommand(kCmdObsSubscribe, {sub.data[0], 0});
+    ASSERT_EQ(page.status, kCmdOk);
+    ASSERT_EQ(page.data[1], 1u);
+    // The map page carries the name relative to the subscribed
+    // prefix, truncated to the packed width, never garbled.
+    EXPECT_EQ(TelemetryTarget::unpackName(&page.data[4]),
               std::string(TelemetryTarget::kNameWords * 4, 'x'));
 }
 
