@@ -148,6 +148,18 @@ FaultPlan::shouldInject(FaultKind kind, const std::string &target,
     return false;
 }
 
+bool
+FaultPlan::tickRuleLive(Tick now) const
+{
+    for (const Rule &r : rules_) {
+        if (isHostPlane(r.kind))
+            continue;
+        if (r.oneShot ? !r.fired : now < r.until)
+            return true;
+    }
+    return false;
+}
+
 void
 FaultPlan::record(FaultKind kind, const std::string &target, Tick now)
 {

@@ -59,6 +59,35 @@ enum class FaultKind : std::uint8_t {
 const char *toString(FaultKind kind);
 
 /**
+ * The host-plane kinds: queried only from host-thread code, never from
+ * a component tick(). Their one hook site is CmdDriver::attemptOnce —
+ * CmdCorrupt, CmdTruncate and CmdDrop on the downstream leg, RespCorrupt
+ * and RespDrop on the upstream leg, DeviceDeath and KernelWedge on both
+ * (keyed on the shell's name). Every other kind is queried from a
+ * tick(): stream wrappers, the CDC, MAC, DMA IP, health monitor and PR
+ * controller. The engine keeps idle fast-forward on while only
+ * host-plane rules are live (FaultPlan::tickRuleLive), so a hook site
+ * that queries one of these kinds from a tick() must move it out of
+ * this set.
+ */
+constexpr bool
+isHostPlane(FaultKind kind)
+{
+    switch (kind) {
+      case FaultKind::CmdCorrupt:
+      case FaultKind::CmdTruncate:
+      case FaultKind::CmdDrop:
+      case FaultKind::RespCorrupt:
+      case FaultKind::RespDrop:
+      case FaultKind::DeviceDeath:
+      case FaultKind::KernelWedge:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/**
  * A fault schedule. Rules are rate windows (inject with probability
  * `rate` per hook-site query inside [from, until)) or one-shots (fire
  * at the first matching query at or after `at`). An optional target
@@ -103,6 +132,15 @@ class FaultPlan {
      */
     bool shouldInject(FaultKind kind, const std::string &target,
                       Tick now, std::uint64_t *param = nullptr);
+
+    /**
+     * Can a rule of a tick-queried (not isHostPlane) kind still fire at
+     * or after @p now: a window with @p now < until, or an unfired
+     * one-shot? While false, no tick() query can match, and a
+     * non-matching query neither draws nor records, so skipping idle
+     * ticks leaves the injected stream unchanged.
+     */
+    bool tickRuleLive(Tick now) const;
 
     /** One injected fault. */
     struct Event {

@@ -145,6 +145,7 @@ HostRbb::submit(DmaDir dir, std::uint16_t queue, std::uint32_t bytes,
     req.issued = now();
     req.id = id;
     staging_[queue].push(req);
+    ++staged_;
     monitor().counter("submitted").inc();
     return true;
 }
@@ -185,8 +186,10 @@ void
 HostRbb::tick()
 {
     // Schedule active queues into the DMA engine. Several grants per
-    // cycle model the scheduler's multi-dequeue datapath.
-    for (int grants = 0; grants < 4; ++grants) {
+    // cycle model the scheduler's multi-dequeue datapath. With nothing
+    // staged no queue requests, and a grant without a requester leaves
+    // the round-robin cursor where it was.
+    for (int grants = 0; grants < 4 && staged_ != 0; ++grants) {
         auto slot = arbiter_.grant([this](std::size_t q) {
             return staging_[q].canPop();
         });
@@ -196,6 +199,7 @@ HostRbb::tick()
         if (!dma_->post(staging_[q].front()))
             break;  // engine back-pressure; retry next cycle
         staging_[q].pop();
+        --staged_;
     }
 
     // Collect completions (control-channel completions surface too).
@@ -259,6 +263,7 @@ HostRbb::onReset()
         staging_[q].clear();
         arbiter_.deactivate(q);
     }
+    staged_ = 0;
     out_.clear();
     queuesConfigured_ = 0;
 }

@@ -73,16 +73,12 @@ class HostRbb : public Rbb {
 
     void tick() override;
 
-    /** Nothing staged for the scheduler and no engine completion to
-     *  collect. The DMA model's own wake covers in-flight transfers. */
+    /** Nothing staged for the scheduler (on any queue, active or
+     *  not) and no engine completion to collect. The DMA model's own
+     *  wake covers in-flight transfers. */
     bool idle() const override
     {
-        if (dma_->hasCompletion())
-            return false;
-        for (const auto &q : staging_)
-            if (!q.empty())
-                return false;
-        return true;
+        return staged_ == 0 && !dma_->hasCompletion();
     }
 
     void registerTelemetry(MetricsRegistry &reg,
@@ -108,6 +104,7 @@ class HostRbb : public Rbb {
     StreamWrapper wrapper_;
     unsigned numQueues_;
     std::vector<Fifo<DmaRequest>> staging_;
+    std::size_t staged_ = 0;  ///< requests across all staging_ FIFOs
     ActiveListArbiter arbiter_;
     std::deque<DmaCompletion> out_;
     std::size_t queuesConfigured_ = 0;

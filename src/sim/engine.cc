@@ -4,7 +4,7 @@
 #include <cstdlib>
 
 #include "common/logging.h"
-#include "fault/fault_plan.h"  // harmonia-lint: allow(LAYER-002) serial fallback while a plan is armed
+#include "fault/fault_plan.h"  // harmonia-lint: allow(LAYER-002) serial fallback and fast-forward eligibility under an armed plan
 #include "sim/ownership.h"
 #include "sim/trace.h"
 
@@ -39,8 +39,13 @@ Engine::envThreads()
 Clock *
 Engine::addClock(const std::string &name, double mhz)
 {
-    domains_.push_back(Domain{std::make_unique<Clock>(name, mhz), {},
-                              domains_.size(), domains_.size()});
+    Domain d;
+    d.clock = std::make_unique<Clock>(name, mhz);
+    d.edge = d.clock->nextEdge(now_);
+    d.synced = now_ == 0;
+    d.group = d.auditRoot = domains_.size();
+    domains_.push_back(std::move(d));
+    fired_.reserve(domains_.size());
     groupsDirty_ = true;
     return domains_.back().clock.get();
 }
@@ -139,13 +144,33 @@ Engine::step()
 {
     if (domains_.empty())
         fatal("Engine::step with no clock domains");
+    commitEdge(nextEdge(), fastForwardNow());
+}
 
+Tick
+Engine::nextEdge() const
+{
     Tick next = kTickMax;
     for (const auto &d : domains_)
-        next = std::min(next, d.clock->nextEdge(now_));
+        next = std::min(next, d.edge);
+    return next;
+}
 
-    commitEdge(next,
-               fastForward_ && FaultPlan::active() == nullptr);
+bool
+Engine::fastForwardNow() const
+{
+    if (!fastForward_)
+        return false;
+    const FaultPlan *plan = FaultPlan::active();
+    return plan == nullptr || !plan->tickRuleLive(now_);
+}
+
+void
+Engine::syncDomain(Domain &d)
+{
+    d.clock->syncTo(now_);
+    d.edge = d.clock->cyclesToTicks(d.clock->cycle() + 1);
+    d.synced = true;
 }
 
 void
@@ -153,29 +178,45 @@ Engine::commitEdge(Tick next, bool skip_idle)
 {
     if (domains_.empty())
         fatal("Engine::commitEdge with no clock domains");
+    // fired_ is a member: a tick that ran the engine would clobber the
+    // list its caller is walking.
+    if (committing_)
+        fatal("Engine::commitEdge re-entered from a tick");
+    committing_ = true;
 
     now_ = next;
 
-    // Land every clock at the new instant before any component runs: a
-    // cycle count always equals the number of edges at or before now,
-    // so batch-syncing is identical to the reference schedule's
+    // Land every clock whose edge has come before any component runs:
+    // a cycle count always equals the number of edges at or before
+    // now, so batch-syncing is identical to the reference schedule's
     // advance-as-you-go (and is the only order that works once fired
-    // domains tick concurrently).
-    std::vector<Domain *> fired;
+    // domains tick concurrently). A domain whose cached edge is still
+    // ahead has no edge in between, so its count already holds.
+    fired_.clear();
     for (auto &d : domains_) {
-        d.clock->syncTo(now_);
-        if (d.clock->nextEdge(now_ - 1) == now_)
-            fired.push_back(&d);
+        if (d.synced && d.edge > now_)
+            continue;
+        if (d.synced && d.edge == now_) {
+            d.clock->advance();
+            d.edge += d.clock->period();
+        } else {
+            // Fast-forward jumped some of its edges, or it was added
+            // mid-run and lands for the first time.
+            syncDomain(d);
+            if (d.clock->cyclesToTicks(d.clock->cycle()) != now_)
+                continue;
+        }
+        fired_.push_back(&d);
     }
 
     std::vector<std::vector<Domain *>> groups;
-    if (parallel_ && threads_ > 1 && fired.size() > 1 &&
+    if (parallel_ && threads_ > 1 && fired_.size() > 1 &&
         !Trace::instance().enabled() &&
         FaultPlan::active() == nullptr) {
         // Bucket fired domains by concurrency group, preserving
         // creation order within each bucket.
         std::vector<std::size_t> roots;
-        for (Domain *d : fired) {
+        for (Domain *d : fired_) {
             const std::size_t root =
                 groupOf(static_cast<std::size_t>(d - domains_.data()));
             d->auditRoot = root;
@@ -204,9 +245,10 @@ Engine::commitEdge(Tick next, bool skip_idle)
             OwnershipAuditor::instance().endEdge();
     } else {
         // Serial reference schedule: creation order across domains.
-        for (Domain *d : fired)
+        for (Domain *d : fired_)
             tickDomain(*d, skip_idle);
     }
+    committing_ = false;
 }
 
 void
@@ -244,7 +286,7 @@ Engine::nextEventEdge()
             wake = std::min(wake, c->wakeTime());
         }
         if (active)
-            cand = d.clock->nextEdge(now_);
+            cand = d.edge;
         else if (wake != kTickMax)
             cand = d.clock->nextEdge(
                 std::max(now_, wake == 0 ? 0 : wake - 1));
@@ -270,16 +312,8 @@ Engine::runUntil(Tick t)
         fatal("Engine::runUntil with no clock domains");
 
     while (true) {
-        const bool ff =
-            fastForward_ && FaultPlan::active() == nullptr;
-        Tick next;
-        if (ff) {
-            next = nextEventEdge();
-        } else {
-            next = kTickMax;
-            for (const auto &d : domains_)
-                next = std::min(next, d.clock->nextEdge(now_));
-        }
+        const bool ff = fastForwardNow();
+        const Tick next = ff ? nextEventEdge() : nextEdge();
         if (next > t)
             break;
         commitEdge(next, ff);
@@ -288,7 +322,8 @@ Engine::runUntil(Tick t)
     // past t. Sync the clocks so skipped no-op edges still count.
     now_ = std::max(now_, t);
     for (auto &d : domains_)
-        d.clock->syncTo(now_);
+        if (!d.synced || d.edge <= now_)
+            syncDomain(d);
 }
 
 void
@@ -306,26 +341,18 @@ Engine::runUntilDone(const std::function<bool()> &done, Tick max_duration)
     const Tick deadline = now_ + max_duration;
     if (done())
         return true;
+    if (now_ >= deadline)
+        return false;
+    // The reference schedule never runs past the first edge at or after
+    // the deadline; an idle jump must land there too, not at some later
+    // wake. That edge is fixed for the call: every step starts below
+    // the deadline.
+    Tick stop = kTickMax;
+    for (const auto &d : domains_)
+        stop = std::min(stop, d.clock->nextEdge(deadline - 1));
     while (now_ < deadline) {
-        const bool ff =
-            fastForward_ && FaultPlan::active() == nullptr;
-        Tick next;
-        if (ff) {
-            next = nextEventEdge();
-        } else {
-            next = kTickMax;
-            for (const auto &d : domains_)
-                next = std::min(next, d.clock->nextEdge(now_));
-        }
-        // The reference schedule never runs past the first edge at or
-        // after the deadline; an idle jump must land there too, not at
-        // some later wake.
-        Tick stop = kTickMax;
-        for (const auto &d : domains_)
-            stop = std::min(
-                stop, d.clock->nextEdge(std::max(now_, deadline - 1)));
-        next = std::min(next, stop);
-        commitEdge(next, ff);
+        const bool ff = fastForwardNow();
+        commitEdge(std::min(ff ? nextEventEdge() : nextEdge(), stop), ff);
         if (done())
             return true;
     }

@@ -43,6 +43,14 @@ namespace harmonia {
  * may tick concurrently. The engine additionally serializes any step
  * where tracing is enabled or a fault plan is armed (both keep global
  * sequential state), so those runs are trivially schedule-independent.
+ *
+ * Idle fast-forward (skipping idle components, jumping over edges on
+ * which nothing would tick) stays on under an armed fault plan unless
+ * the plan holds a live rule of a kind some tick() queries
+ * (FaultPlan::tickRuleLive): host-plane rules (isHostPlane) are only
+ * queried between edges, so a DeviceDeath or CmdDrop window never
+ * slows the edge loop, while a live LinkFlap window keeps every
+ * component ticking on every edge until it closes.
  */
 class Engine {
   public:
@@ -111,7 +119,8 @@ class Engine {
     void setThreads(unsigned n);
     unsigned threads() const { return threads_; }
 
-    /** Enable/disable the idle fast-forward path (default off). */
+    /** Enable/disable the idle fast-forward path (default off). An
+     *  armed plan's live tick-queried rules suspend it (class comment). */
     void setIdleFastForward(bool on) { fastForward_ = on; }
     bool idleFastForward() const { return fastForward_; }
 
@@ -139,6 +148,12 @@ class Engine {
   private:
     struct Domain {
         std::unique_ptr<Clock> clock;
+        /// First edge strictly after now_ (cached: commitEdge touches
+        /// only domains whose edge has come).
+        Tick edge = 0;
+        /// False for a domain added mid-run until its clock first
+        /// lands at now_: its cycle count stays 0 until then.
+        bool synced = true;
         std::vector<Component *> components;
         std::size_t group = 0;  ///< union-find parent (domain index)
         /// Resolved group root, refreshed as parallel edges are
@@ -150,11 +165,22 @@ class Engine {
     std::size_t domainIndex(const Clock *clk);
     std::size_t groupOf(std::size_t domain_index);
 
+    /** Earliest pending edge of any domain. */
+    Tick nextEdge() const;
+
     /** Earliest edge that must run, honoring idleness; kTickMax when
      *  every component is dormant with no wake and no hint. */
     Tick nextEventEdge();
 
-    /** Land at @p next: sync every clock, tick the fired domains. */
+    /** Idle fast-forward is enabled and no armed tick-queried fault
+     *  rule is live (see the class comment). */
+    bool fastForwardNow() const;
+
+    /** Land @p d's clock at now_ (one divide) and refresh its edge. */
+    void syncDomain(Domain &d);
+
+    /** Land at @p next: sync the clocks whose edge has come, tick the
+     *  fired domains. Never re-entered from a tick. */
     void commitEdge(Tick next, bool skip_idle);
 
     /** Tick @p fired (lists of fired domains per group) in parallel
@@ -174,6 +200,8 @@ class Engine {
 
     Tick now_ = 0;
     std::vector<Domain> domains_;
+    std::vector<Domain *> fired_;  ///< commitEdge buffer, reused
+    bool committing_ = false;      ///< inside commitEdge
     std::priority_queue<Tick, std::vector<Tick>, std::greater<Tick>>
         events_;
 

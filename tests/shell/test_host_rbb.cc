@@ -159,6 +159,35 @@ TEST(HostRbb, WorkloadCalibrationMatchesPaperRatios)
     EXPECT_NEAR((total - w.instanceLoc) / total, 0.91, 0.02);
 }
 
+TEST(HostRbb, IdleCountsStagedRequestsOnEveryQueue)
+{
+    HostBench b;
+    EXPECT_TRUE(b.rbb.idle());
+    b.rbb.setQueueActive(9, true);
+    ASSERT_TRUE(b.rbb.submit(DmaDir::H2C, 9, 64, 1));
+    EXPECT_FALSE(b.rbb.idle());
+
+    // Deactivated with a request still staged: the scheduler never
+    // grants it, but the RBB is not idle while it waits.
+    b.rbb.setQueueActive(9, false);
+    b.engine.runFor(1'000'000);
+    EXPECT_EQ(b.rbb.queueDepth(9), 1u);
+    EXPECT_FALSE(b.rbb.idle());
+
+    b.rbb.setQueueActive(9, true);
+    ASSERT_TRUE(b.engine.runUntilDone(
+        [&] { return b.rbb.hasCompletion(); }, 100'000'000));
+    EXPECT_EQ(b.rbb.popCompletion().request.id, 1u);
+    EXPECT_EQ(b.rbb.queueDepth(9), 0u);
+    EXPECT_TRUE(b.rbb.idle());
+
+    // Reset drops whatever is staged, and the count with it.
+    ASSERT_TRUE(b.rbb.submit(DmaDir::H2C, 9, 64, 2));
+    EXPECT_FALSE(b.rbb.idle());
+    b.rbb.executeCommand(kCmdModuleReset, {});
+    EXPECT_TRUE(b.rbb.idle());
+}
+
 TEST(HostRbb, ResetClearsQueuesAndState)
 {
     HostBench b;

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -133,6 +134,18 @@ expectIdentical(const RunImage &golden, const RunImage &run,
             << label << " span " << i;
 }
 
+/** Fault schedule armed over an end-to-end run. */
+enum class Chaos {
+    None,
+    /// Stream, command and DMA faults over the first 200M ticks.
+    Mixed,
+    /// Only host-plane kinds (isHostPlane): fast-forward stays on.
+    HostPlane,
+    /// Stream bit flips over the first 50M ticks only, so
+    /// fast-forward resumes partway through the run.
+    EarlyStreamFlips,
+};
+
 /**
  * Fig-10-style end-to-end scenario on a unified shell: loopback
  * network traffic, DMA on four tenant queues, periodic control
@@ -140,7 +153,7 @@ expectIdentical(const RunImage &golden, const RunImage &run,
  * its keep). Optionally under a chaos schedule and with tracing on.
  */
 RunImage
-runEndToEnd(const Mode &mode, bool with_trace, bool with_chaos)
+runEndToEnd(const Mode &mode, bool with_trace, Chaos chaos)
 {
     Trace::instance().clear();
     Trace::instance().setEnabled(with_trace);
@@ -167,15 +180,32 @@ runEndToEnd(const Mode &mode, bool with_trace, bool with_chaos)
         dma.registerTelemetry(reg, "host_dma");
 
         FaultPlan plan(20260806);
-        if (with_chaos) {
+        switch (chaos) {
+          case Chaos::None:
+            break;
+          case Chaos::Mixed:
             plan.addWindow(FaultKind::StreamBitFlip, 0, 200'000'000,
                            0.1);
             plan.addWindow(FaultKind::CmdDrop, 0, 200'000'000, 0.1,
                            "cmd01");
             plan.addWindow(FaultKind::DmaCompletionLoss, 0,
                            200'000'000, 0.05);
-            plan.arm();
+            break;
+          case Chaos::HostPlane:
+            plan.addWindow(FaultKind::CmdDrop, 0, 200'000'000, 0.3,
+                           "cmd01");
+            plan.addWindow(FaultKind::RespCorrupt, 0, 200'000'000, 0.3,
+                           "cmd01");
+            plan.addWindow(FaultKind::KernelWedge, 0, 200'000'000, 0.5,
+                           shell->name());
+            break;
+          case Chaos::EarlyStreamFlips:
+            plan.addWindow(FaultKind::StreamBitFlip, 0, 50'000'000,
+                           0.1);
+            break;
         }
+        if (chaos != Chaos::None)
+            plan.arm();
 
         std::uint64_t next_id = 1;
         for (int round = 0; round < 24; ++round) {
@@ -298,12 +328,12 @@ runGroups(const Mode &mode)
 TEST(Determinism, EndToEndParallelMatchesSerial)
 {
     const RunImage golden =
-        runEndToEnd(Mode{1, false, false}, false, false);
+        runEndToEnd(Mode{1, false, false}, false, Chaos::None);
     EXPECT_GT(golden.wirePackets, 0u);
 
     for (unsigned threads : {1u, 2u, 4u}) {
         const RunImage run = runEndToEnd(
-            Mode{threads, threads > 1, true}, false, false);
+            Mode{threads, threads > 1, true}, false, Chaos::None);
         expectIdentical(golden, run,
                         format("threads=%u", threads));
     }
@@ -312,25 +342,36 @@ TEST(Determinism, EndToEndParallelMatchesSerial)
 TEST(Determinism, EndToEndSpanTreesMatchUnderTracing)
 {
     const RunImage golden =
-        runEndToEnd(Mode{1, false, false}, true, false);
+        runEndToEnd(Mode{1, false, false}, true, Chaos::None);
     EXPECT_GT(golden.spans.size(), 0u);
 
     const RunImage run =
-        runEndToEnd(Mode{4, true, true}, true, false);
+        runEndToEnd(Mode{4, true, true}, true, Chaos::None);
     expectIdentical(golden, run, "traced threads=4");
 }
 
 TEST(Determinism, ChaosRunsMatchSerial)
 {
-    const RunImage golden =
-        runEndToEnd(Mode{1, false, false}, false, true);
-    EXPECT_GT(golden.faultInjected, 0u);
+    // Stream and DMA windows hold fast-forward off while they are live
+    // (most of the mixed run, the first third of the early-flips one);
+    // host-plane rules never do. Every run must equal the tick-by-tick
+    // golden.
+    const std::pair<Chaos, const char *> schedules[] = {
+        {Chaos::Mixed, "mixed"},
+        {Chaos::HostPlane, "host-plane"},
+        {Chaos::EarlyStreamFlips, "early-flips"},
+    };
+    for (const auto &[chaos, name] : schedules) {
+        const RunImage golden =
+            runEndToEnd(Mode{1, false, false}, false, chaos);
+        EXPECT_GT(golden.faultInjected, 0u) << name;
 
-    for (unsigned threads : {2u, 4u}) {
-        const RunImage run = runEndToEnd(
-            Mode{threads, true, true}, false, true);
-        expectIdentical(golden, run,
-                        format("chaos threads=%u", threads));
+        for (unsigned threads : {1u, 2u, 4u}) {
+            const RunImage run = runEndToEnd(
+                Mode{threads, threads > 1, true}, false, chaos);
+            expectIdentical(golden, run,
+                            format("%s threads=%u", name, threads));
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "fault/fault_plan.h"
 #include "sim/engine.h"
 
 namespace harmonia {
@@ -142,14 +143,26 @@ TEST(Engine, RunUntilNeverRewindsTime)
 
 // --- Idle fast-forward: parity with the tick-by-tick engine. ---
 
+/** One tick: who ran, at which instant, on which cycle. */
+struct TickRecord {
+    std::string who;
+    Tick at = 0;
+    Cycles cycle = 0;
+
+    bool operator==(const TickRecord &) const = default;
+};
+
 /**
  * Does observable work every @p interval cycles and reports itself
  * idle (with an exact wake) in between — the HealthMonitor shape.
+ * With @p log it also appends each working tick to that shared log,
+ * so tick order across domains can be compared.
  */
 class PeriodicCounter : public Component {
   public:
-    PeriodicCounter(std::string name, Cycles interval)
-        : Component(std::move(name)), interval_(interval)
+    PeriodicCounter(std::string name, Cycles interval,
+                    std::vector<TickRecord> *log = nullptr)
+        : Component(std::move(name)), interval_(interval), log_(log)
     {
     }
 
@@ -158,6 +171,8 @@ class PeriodicCounter : public Component {
         if (cycle() % interval_ == 0) {
             ++count_;
             at_.push_back(now());
+            if (log_ != nullptr)
+                log_->push_back({name(), now(), cycle()});
         }
     }
     bool idle() const override { return cycle() % interval_ != 0; }
@@ -172,6 +187,7 @@ class PeriodicCounter : public Component {
 
   private:
     Cycles interval_;
+    std::vector<TickRecord> *log_;
 };
 
 /** Fires once at the first edge at or after @p when, then sleeps. */
@@ -322,6 +338,164 @@ TEST(Engine, StepSkipsIdleWorkWhenFastForwarding)
     EXPECT_EQ(raw_ticks, 8);          // default components never skip
     EXPECT_EQ(counter.count_, 2u);    // cycles 4 and 8
     EXPECT_EQ(counter.at_.size(), 2u);
+}
+
+// --- Fast-forward under an armed fault plan. ---
+
+/**
+ * Claims to be idle yet counts every tick it gets: a count of zero
+ * proves the engine skipped it, a count per edge that it did not.
+ */
+class IdleProbe : public Component {
+  public:
+    using Component::Component;
+
+    void tick() override { ++ticks_; }
+    bool idle() const override { return true; }
+
+    int ticks_ = 0;
+};
+
+/** A fast-forwarding engine with one 4 ns domain holding a probe. */
+struct ProbeRig {
+    Engine engine;
+    Clock *clk = engine.addClock("clk", 250.0);
+    IdleProbe probe{"probe"};
+
+    ProbeRig()
+    {
+        engine.setIdleFastForward(true);
+        engine.add(&probe, clk);
+    }
+};
+
+TEST(Engine, HostPlaneRulesKeepFastForward)
+{
+    ProbeRig rig;
+    // Live for the whole test, but only CmdDriver queries these kinds,
+    // between edges: no tick can match them.
+    FaultPlan plan(7);
+    plan.addWindow(FaultKind::DeviceDeath, 0, kTickMax, 1.0);
+    plan.addOneShot(FaultKind::CmdDrop, 0, "cmd01");
+    plan.arm();
+
+    for (int i = 0; i < 8; ++i)
+        rig.engine.step();
+    rig.engine.runFor(40'000);
+    EXPECT_EQ(rig.probe.ticks_, 0);
+    EXPECT_EQ(rig.engine.now(), 72'000u);
+    EXPECT_EQ(rig.clk->cycle(), 18u);
+}
+
+TEST(Engine, LiveTickRuleTicksEveryEdge)
+{
+    ProbeRig rig;
+    // Not open yet, but a MAC tick will query it once it is.
+    FaultPlan plan(7);
+    plan.addWindow(FaultKind::LinkFlap, 1'000'000, 2'000'000, 1.0,
+                   "mac");
+    plan.arm();
+
+    for (int i = 0; i < 8; ++i)
+        rig.engine.step();
+    EXPECT_EQ(rig.probe.ticks_, 8);
+    rig.engine.runFor(40'000);
+    EXPECT_EQ(rig.probe.ticks_, 18);
+}
+
+TEST(Engine, FastForwardResumesOnceTickRulesClose)
+{
+    ProbeRig rig;
+    FaultPlan plan(7);
+    plan.addWindow(FaultKind::StreamBitFlip, 0, 40'000, 0.5);
+    plan.arm();
+
+    // Each edge is decided before it lands, while now < until, so
+    // every edge up to and including the one at `until` ticks; every
+    // later one is skipped again.
+    rig.engine.runUntil(40'000);
+    EXPECT_EQ(rig.probe.ticks_, 10);
+    rig.engine.step();
+    rig.engine.runFor(400'000);
+    EXPECT_EQ(rig.probe.ticks_, 10);
+    EXPECT_EQ(rig.clk->cycle(), 111u);
+}
+
+// --- Cached clock edges: parity with a brute-force reference. ---
+
+/** A domain as the brute-force reference sees it. */
+struct RefDomain {
+    std::string who;
+    Tick period;
+    Cycles interval;
+};
+
+/** Walk every picosecond in (@p from, @p to]; each domain, in creation
+ *  order, logs on its edges whose cycle is a multiple of its interval. */
+void
+bruteForce(const std::vector<RefDomain> &domains, Tick from, Tick to,
+           std::vector<TickRecord> &log)
+{
+    for (Tick t = from + 1; t <= to; ++t)
+        for (const RefDomain &d : domains)
+            if (t % d.period == 0 && (t / d.period) % d.interval == 0)
+                log.push_back({d.who, t, t / d.period});
+}
+
+/** First instant after @p from at which any domain has an edge. */
+Tick
+bruteNextEdge(const std::vector<RefDomain> &domains, Tick from)
+{
+    for (Tick t = from + 1;; ++t)
+        for (const RefDomain &d : domains)
+            if (t % d.period == 0)
+                return t;
+}
+
+TEST(Engine, MidRunClockAndOffEdgeStopMatchBruteForce)
+{
+    for (const bool fast_forward : {false, true}) {
+        const char *label = fast_forward ? "ff" : "tick-by-tick";
+        Engine e;
+        e.setIdleFastForward(fast_forward);
+        std::vector<TickRecord> log;
+        Clock *a = e.addClock("a", 250.0);
+        PeriodicCounter la("a", 1, &log);
+        e.add(&la, a);
+        e.runFor(10'000);
+
+        // Added with now > 0: its count stays 0 until the next
+        // committed edge lands it.
+        Clock *b = e.addClock("b", 322.27);
+        PeriodicCounter lb("b", 3, &log);
+        e.add(&lb, b);
+        EXPECT_EQ(b->cycle(), 0u) << label;
+
+        std::vector<RefDomain> ref{{"a", a->period(), 1}};
+        std::vector<TickRecord> want;
+        bruteForce(ref, 0, 10'000, want);
+        ref.push_back({"b", b->period(), 3});
+
+        // Stop between edges, just short of one of b's logging edges
+        // (cycle 18), then commit exactly one more edge.
+        const Tick stop = 18 * b->period() - 1;
+        e.runUntil(stop);
+        bruteForce(ref, 10'000, stop, want);
+        ASSERT_EQ(e.now(), stop) << label;
+        EXPECT_EQ(a->cycle(), stop / a->period()) << label;
+        EXPECT_EQ(b->cycle(), stop / b->period()) << label;
+
+        e.step();
+        const Tick edge = bruteNextEdge(ref, stop);
+        bruteForce(ref, stop, edge, want);
+        ASSERT_EQ(e.now(), edge) << label;
+        EXPECT_EQ(a->cycle(), edge / a->period()) << label;
+        EXPECT_EQ(b->cycle(), edge / b->period()) << label;
+
+        EXPECT_EQ(log, want) << label;
+        EXPECT_EQ(want.back().at, edge);
+        EXPECT_GT(want.size(), 15u);
+    }
 }
 
 } // namespace
