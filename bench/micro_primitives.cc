@@ -2,16 +2,25 @@
  * @file
  * Micro-benchmarks (google-benchmark) on the hot primitives: command
  * codec, checksum/CRC, async FIFO and the byte repacker. These bound
- * the simulator's own overheads and document codec costs.
+ * the simulator's own overheads and document codec costs. The scale
+ * probe (BM_StatsSnapshotAcrossCards) bounds the edge loop's per-card
+ * cost: one command to one card of an N-card rack.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "cmd/command.h"
 #include "common/checksum.h"
+#include "common/strings.h"
+#include "host/cmd_driver.h"
 #include "rtl/async_fifo.h"
 #include "rtl/crc.h"
 #include "rtl/width_converter.h"
+#include "shell/tailoring.h"
+#include "shell/unified_shell.h"
 
 using namespace harmonia;
 
@@ -95,6 +104,41 @@ BM_ByteRepacker(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_ByteRepacker)->Arg(16)->Arg(64)->Arg(256);
+
+/**
+ * The scale probe: one StatsSnapshot round trip to card 0 of N unified
+ * cards (devices A-D in rotation) in one fast-forwarding engine. Only
+ * card 0 does any work, so the per-call cost should not grow with N.
+ */
+void
+BM_StatsSnapshotAcrossCards(benchmark::State &state)
+{
+    static const char *const kDevices[] = {"DeviceA", "DeviceB",
+                                           "DeviceC", "DeviceD"};
+    Engine engine;
+    engine.setIdleFastForward(true);
+    std::vector<std::unique_ptr<Shell>> cards;
+    for (std::int64_t i = 0; i < state.range(0); ++i) {
+        const FpgaDevice &dev =
+            DeviceDatabase::instance().byName(kDevices[i % 4]);
+        cards.push_back(std::make_unique<Shell>(
+            engine, dev, unifiedConfigFor(dev),
+            format("card%lld_%s", static_cast<long long>(i),
+                   dev.name.c_str())));
+    }
+    CmdDriver driver(engine, *cards.front());
+    for (auto _ : state) {
+        const CommandPacket resp =
+            driver.call(kRbbNetwork, 0, kCmdStatsSnapshot);
+        benchmark::DoNotOptimize(resp.data.data());
+        if (resp.status != kCmdOk) {
+            state.SkipWithError("StatsSnapshot failed");
+            break;
+        }
+    }
+    state.counters["cards"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_StatsSnapshotAcrossCards)->Arg(1)->Arg(8)->Arg(64);
 
 } // namespace
 

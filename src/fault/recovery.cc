@@ -27,7 +27,8 @@ RecoveryManager::idle() const
         return false;  // checks every cycle
     // Healthy and at rest: a check would observe nothing and change
     // nothing, at this cycle or any later one — only an alarm edge
-    // (driven by a health sample the engine never skips) wakes us.
+    // wakes us, and the monitor always ticks the conversion that
+    // latches one (its wakeTime()), so the edge is never skipped.
     if (!degraded_ && !alarmPending_ &&
         (shell_.health().alarms() & kAlarmOverTemp) == 0)
         return true;

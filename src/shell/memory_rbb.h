@@ -9,6 +9,7 @@
 #ifndef HARMONIA_SHELL_MEMORY_RBB_H_
 #define HARMONIA_SHELL_MEMORY_RBB_H_
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 
@@ -77,8 +78,11 @@ class MemoryRbb : public Rbb {
         return !wrapper_.hasCompletion() && !cacheHits_.ready(now());
     }
 
-    /** Next hot-cache hit maturation. */
-    Tick wakeTime() const override { return cacheHits_.frontReadyAt(); }
+    /** Next hot-cache hit or wrapper return-path maturation. */
+    Tick wakeTime() const override
+    {
+        return std::min(cacheHits_.frontReadyAt(), wrapper_.nextReadyAt());
+    }
 
     void registerTelemetry(MetricsRegistry &reg,
                            const std::string &prefix) override;

@@ -43,6 +43,13 @@ class MemMapWrapper : public Component {
               std::uint64_t id = 0);
 
     bool hasCompletion() const;
+
+    /** When the oldest returning completion becomes visible
+     *  (hasCompletion); kTickMax when none is in the return path. */
+    Tick nextReadyAt() const
+    {
+        return out_.empty() ? kTickMax : out_.front().completed;
+    }
     MemCompletion popCompletion();
 
     void tick() override;

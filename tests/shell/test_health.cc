@@ -159,5 +159,115 @@ TEST(HealthMonitor, RejectsBadUtilization)
     EXPECT_THROW(mon.setUtilization(1.5), FatalError);
 }
 
+// --- Lazy conversions under idle fast-forward. ---
+
+/** A standalone monitor on its own 250 MHz clock. */
+struct MonitorRig {
+    Engine engine;
+    IrqHub irqs;
+    HealthMonitor mon{"mon", irqs};
+    Clock *clk = engine.addClock("clk", 250.0);
+
+    explicit MonitorRig(bool fast_forward, double utilization = 0.5)
+    {
+        engine.setIdleFastForward(fast_forward);
+        engine.add(&mon, clk);
+        mon.setUtilization(utilization);
+    }
+};
+
+TEST(HealthMonitor, KernelSensorReadOnConversionEdgeSeesPreviousOne)
+{
+    for (const bool ff : {false, true}) {
+        const char *label = ff ? "ff" : "tick-by-tick";
+        Engine engine;
+        engine.setIdleFastForward(ff);
+        auto shell = Shell::makeUnified(engine, deviceA());
+        CmdDriver bmc(engine, *shell, kCtrlBmc);
+        // A ripple step (the temperature moves there) long after the
+        // last command: the soft core is idle when the edge comes.
+        const Cycles edge = 64 * 40;
+        const Tick period = shell->kernelClock()->period();
+        engine.runUntil(edge * period - 1);
+        const std::uint32_t before = shell->health().temperatureMilliC();
+
+        // Submitted one tick before the edge, executed on it: the
+        // kernel ticks ahead of the monitor in its domain.
+        const CommandPacket resp = bmc.call(kRbbHealth, 0, kCmdSensorRead,
+                                            {kSensorTempMilliC});
+        ASSERT_EQ(resp.status, kCmdOk) << label;
+        ASSERT_EQ(engine.now(), edge * period) << label;
+        EXPECT_EQ(resp.data[0], before) << label;
+
+        // A host read right after that edge sees the new conversion.
+        EXPECT_EQ(shell->health().temperatureMilliC(), before + 125)
+            << label;
+    }
+}
+
+TEST(HealthMonitor, FastForwardAlarmIrqFiresOnTheTickByTickEdge)
+{
+    const auto fired_at = [](bool ff) {
+        MonitorRig rig(ff);
+        Tick fired = 0;
+        rig.mon.alarmLine().subscribe(
+            [&] { fired = rig.engine.now(); });
+        // Reached only on ripple step 9 and up (rise 22.5C at 50%).
+        rig.mon.setTempLimitMilliC(35'000 + 22'500 + 9 * 125);
+        rig.engine.runFor(10'000'000);
+        EXPECT_EQ(rig.mon.alarmLine().edgeCount(), 1u);
+        return fired;
+    };
+    const Tick golden = fired_at(false);
+    EXPECT_EQ(golden, 9 * 64 * periodFromMhz(250.0));
+    EXPECT_EQ(fired_at(true), golden);
+}
+
+TEST(HealthMonitor, NoWakeWhileNoAlarmCanLatch)
+{
+    // 10% utilization peaks near 41C: nothing can latch.
+    MonitorRig rig(true, 0.1);
+    EXPECT_EQ(rig.mon.wakeTime(), kTickMax);
+    EXPECT_TRUE(rig.mon.idle());
+
+    // A limit within the ripple's reach: its first hot step wakes it.
+    rig.mon.setTempLimitMilliC(35'000 + 4'500 + 3 * 125);
+    EXPECT_EQ(rig.mon.wakeTime(), rig.clk->cyclesToTicks(3 * 64));
+
+    // Latched, over-temperature cannot latch again until cleared.
+    rig.engine.runFor(rig.clk->cyclesToTicks(3 * 64));
+    ASSERT_TRUE(rig.mon.alarms() & kAlarmOverTemp);
+    EXPECT_EQ(rig.mon.wakeTime(), kTickMax);
+    ASSERT_EQ(rig.mon.executeCommand(kCmdModuleReset, {}).status, kCmdOk);
+    EXPECT_NE(rig.mon.wakeTime(), kTickMax);
+}
+
+TEST(HealthMonitor, SetterAfterLongIdleStretchKeepsEarlierReads)
+{
+    // Land between conversions deep into the ripple's sixth period:
+    // fast-forward skipped every conversion on the way.
+    const auto run = [](bool ff, bool read_first) {
+        MonitorRig rig(ff, 0.1);
+        const Cycles at = 5 * 1024 + 7 * 64 + 5;
+        rig.engine.runUntil(rig.clk->cyclesToTicks(at));
+        const std::uint32_t before =
+            read_first ? rig.mon.temperatureMilliC() : 0;
+        rig.mon.setAmbientMilliC(60'000);
+        // The setter changes the next conversion, not the last one.
+        const std::uint32_t after = rig.mon.temperatureMilliC();
+        if (read_first) {
+            EXPECT_EQ(after, before);
+        }
+        rig.engine.runUntil(rig.clk->cyclesToTicks(at + 16));
+        return std::make_pair(after, rig.mon.temperatureMilliC());
+    };
+    const auto golden = run(false, true);
+    EXPECT_EQ(golden.first, 35'000u + 4'500 + 7 * 125);
+    EXPECT_EQ(golden.second, 60'000u + 4'500 + 7 * 125);
+    EXPECT_EQ(run(false, false), golden);
+    EXPECT_EQ(run(true, true), golden);
+    EXPECT_EQ(run(true, false), golden);
+}
+
 } // namespace
 } // namespace harmonia

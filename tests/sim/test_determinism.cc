@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "fault/fault_plan.h"
 #include "host/cmd_driver.h"
 #include "host/dma_engine.h"
+#include "run_image.h"
 #include "shell/cdc.h"
 #include "shell/unified_shell.h"
 #include "sim/trace.h"
@@ -47,91 +47,6 @@ apply(Engine &engine, const Mode &m)
     engine.setThreads(m.threads);
     engine.setParallel(m.parallel);
     engine.setIdleFastForward(m.fastForward);
-}
-
-/**
- * Everything observable at the end of a run, rendered to strings so a
- * mismatch prints the first differing line instead of "false".
- */
-struct RunImage {
-    std::vector<std::string> metrics;
-    std::vector<std::string> spans;
-    std::uint64_t faultFingerprint = 0;
-    std::uint64_t faultInjected = 0;
-    std::uint64_t wireBytes = 0;
-    std::uint64_t wirePackets = 0;
-    Tick endNow = 0;
-
-    bool operator==(const RunImage &) const = default;
-};
-
-std::vector<std::string>
-renderMetrics(const MetricsRegistry &reg)
-{
-    std::vector<std::string> out;
-    for (const MetricSample &s : reg.snapshot())
-        out.push_back(format(
-            "%s k=%u v=%.17g n=%llu min=%llu max=%llu mean=%.17g "
-            "p50=%.17g p99=%.17g",
-            s.name.c_str(), static_cast<unsigned>(s.kind), s.value,
-            static_cast<unsigned long long>(s.count),
-            static_cast<unsigned long long>(s.min),
-            static_cast<unsigned long long>(s.max), s.mean, s.p50,
-            s.p99));
-    return out;
-}
-
-std::vector<std::string>
-renderSpans()
-{
-    // Span ids come from a process-global counter that survives
-    // Trace::clear(), so remap them (and the parent links) to dense
-    // first-appearance order — the tree shape is what must match.
-    std::map<SpanId, std::uint64_t> dense;
-    std::map<std::uint64_t, std::uint64_t> denseCorr;
-    dense[0] = 0;
-    denseCorr[0] = 0;
-    const auto idOf = [&dense](SpanId id) {
-        const auto [it, fresh] = dense.emplace(id, dense.size());
-        (void)fresh;
-        return it->second;
-    };
-    const auto corrOf = [&denseCorr](std::uint64_t corr) {
-        const auto [it, fresh] =
-            denseCorr.emplace(corr, denseCorr.size());
-        (void)fresh;
-        return it->second;
-    };
-    std::vector<std::string> out;
-    for (const Trace::Span &s : Trace::instance().spans())
-        out.push_back(format(
-            "id=%llu parent=%llu corr=%llu [%llu,%llu] %s/%s/%s",
-            static_cast<unsigned long long>(idOf(s.id)),
-            static_cast<unsigned long long>(idOf(s.parent)),
-            static_cast<unsigned long long>(corrOf(s.corr)),
-            static_cast<unsigned long long>(s.begin),
-            static_cast<unsigned long long>(s.end), s.who.c_str(),
-            s.what.c_str(), s.cat.c_str()));
-    return out;
-}
-
-void
-expectIdentical(const RunImage &golden, const RunImage &run,
-                const std::string &label)
-{
-    EXPECT_EQ(golden.endNow, run.endNow) << label;
-    EXPECT_EQ(golden.wireBytes, run.wireBytes) << label;
-    EXPECT_EQ(golden.wirePackets, run.wirePackets) << label;
-    EXPECT_EQ(golden.faultFingerprint, run.faultFingerprint) << label;
-    EXPECT_EQ(golden.faultInjected, run.faultInjected) << label;
-    ASSERT_EQ(golden.metrics.size(), run.metrics.size()) << label;
-    for (std::size_t i = 0; i < golden.metrics.size(); ++i)
-        EXPECT_EQ(golden.metrics[i], run.metrics[i])
-            << label << " metric " << i;
-    ASSERT_EQ(golden.spans.size(), run.spans.size()) << label;
-    for (std::size_t i = 0; i < golden.spans.size(); ++i)
-        EXPECT_EQ(golden.spans[i], run.spans[i])
-            << label << " span " << i;
 }
 
 /** Fault schedule armed over an end-to-end run. */
