@@ -39,7 +39,8 @@ ruleFamilies()
                 "src/; no unordered-container iteration in ticked or "
                 "command-path code"},
         {"HOT", "hot-path purity: no heap-allocation markers in the "
-                "designated hot files"},
+                "designated hot files; no string-keyed counter "
+                "lookups or format() span arguments in ticked code"},
         {"CMD-W", "wire-protocol completeness: every kCmd* code has "
                   "toString coverage, a handler, fuzz-corpus coverage "
                   "and a DESIGN.md mention"},

@@ -15,6 +15,11 @@
  *   iteration; annotate the justification).
  * - HOT-001 (Error): heap-allocation markers in the designated hot
  *   files, which the ROADMAP's zero-allocation wire path builds on.
+ * - HOT-002 (Error): string work on the per-tick / per-command path —
+ *   a string-keyed counter("...") lookup, or a format() call inside a
+ *   beginSpan / completeSpan argument list — in ticked code and the
+ *   host driver files. Counters there are CounterHandle members; span
+ *   arguments are views the trace copies only when enabled.
  */
 
 #include <map>
@@ -117,6 +122,63 @@ isHotFile(const std::string &path)
     return false;
 }
 
+/** Host files whose per-command path HOT-002 treats like ticked code. */
+const char *kHotHostFiles[] = {
+    "src/host/cmd_driver.cc",
+    "src/host/dma_engine.cc",
+};
+
+/**
+ * Does the span call's argument list opening at @p line / @p at call
+ * format()? The list is followed across lines until its parentheses
+ * balance (string literals are blanked in the code view).
+ */
+bool
+spanArgsFormat(const SourceFile &f, std::size_t line, std::size_t at)
+{
+    std::string args;
+    int depth = 0;
+    for (std::size_t i = line; i < f.code.size() && i < line + 8; ++i) {
+        const std::string &text = f.code[i];
+        for (std::size_t c = i == line ? at : 0; c < text.size(); ++c) {
+            args += text[c];
+            if (text[c] == '(')
+                ++depth;
+            else if (text[c] == ')' && --depth == 0)
+                return findToken(args, "format(") != std::string::npos;
+        }
+        args += ' ';
+    }
+    return findToken(args, "format(") != std::string::npos;
+}
+
+/** HOT-002 over one hot file. */
+void
+checkHotStrings(const SourceFile &f, Reporter &out)
+{
+    for (std::size_t i = 0; i < f.code.size(); ++i) {
+        const int line = static_cast<int>(i) + 1;
+        // The literal survives only in the comment-stripped view.
+        if (findToken(f.noComment[i], "counter(\"") != std::string::npos)
+            out.emit(f, line, "HOT-002", drc::Severity::Error,
+                     "string-keyed counter(\"...\") lookup on the hot "
+                     "path",
+                     "hold a CounterHandle member (common/stats.h) "
+                     "declared after its StatGroup");
+        for (const std::string call : {"beginSpan", "completeSpan"}) {
+            const std::size_t at = findToken(f.code[i], call + "(");
+            if (at != std::string::npos &&
+                spanArgsFormat(f, i, at + call.size()))
+                out.emit(f, line, "HOT-002", drc::Severity::Error,
+                         format("format() in a %s() argument list",
+                                call.c_str()),
+                         "span arguments are views the trace copies "
+                         "only when enabled; build a label behind "
+                         "Trace::enabled() or pass a stored name");
+        }
+    }
+}
+
 /** Does this file (alone) define ticked or command-path code? */
 bool
 definesTickedCode(const SourceFile &f)
@@ -186,6 +248,13 @@ checkDeterminismRules(const Corpus &corpus, Reporter &out)
         }
 
     for (const SourceFile &f : corpus.files()) {
+        // HOT-002 over ticked code and the host driver files.
+        bool hot_path = ticked.count(f.path) != 0;
+        for (const char *host : kHotHostFiles)
+            hot_path = hot_path || f.path == host;
+        if (hot_path)
+            checkHotStrings(f, out);
+
         // DET-001 over every src file.
         for (std::size_t i = 0; i < f.code.size(); ++i) {
             for (const BannedToken &t : kBannedCalls) {

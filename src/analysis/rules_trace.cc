@@ -9,9 +9,9 @@
  *   endSpan() anywhere — pairing probably crosses files; worth a
  *   human look.
  * - TEL-001 (Error): metric-name literals passed to counter() /
- *   gauge() / histogram() must match [a-z][a-z0-9_.]* — exporters
- *   key on the convention (Prometheus sanitization, dotted JSON
- *   paths).
+ *   gauge() / histogram(), or named in a CounterHandle declaration,
+ *   must match [a-z][a-z0-9_.]* — exporters key on the convention
+ *   (Prometheus sanitization, dotted JSON paths).
  */
 
 #include <string>
@@ -44,6 +44,49 @@ findSpanCall(const std::string &line, const std::string &method)
         at += method.size();
     }
     return std::string::npos;
+}
+
+/**
+ * The name literal of a `CounterHandle member{group, "name"}`
+ * declaration starting on line @p i; "" when the line declares no
+ * handle or names it with a non-literal. The initializer may wrap
+ * onto the next lines.
+ */
+std::string
+handleNameLiteral(const SourceFile &f, std::size_t i)
+{
+    const std::string kType = "CounterHandle";
+    const std::string &code = f.code[i];
+    std::size_t at = code.find(kType);
+    if (at == std::string::npos ||
+        (at > 0 && isWordChar(code[at - 1])))
+        return "";
+    // A declarator is an identifier followed by '{' or '(' (not the
+    // class itself, a reference return type or a special member).
+    std::size_t c = at + kType.size();
+    while (c < code.size() && code[c] == ' ')
+        ++c;
+    const std::size_t ident = c;
+    while (c < code.size() && isWordChar(code[c]))
+        ++c;
+    if (c == ident || c >= code.size() ||
+        (code[c] != '{' && code[c] != '('))
+        return "";
+    for (std::size_t l = i; l < f.code.size() && l < i + 3; ++l) {
+        const std::string &lit = f.noComment[l];
+        const std::size_t from = l == i ? c : 0;
+        const std::size_t end = f.code[l].find(';', from);
+        const std::size_t open = lit.find('"', from);
+        if (open != std::string::npos &&
+            (end == std::string::npos || open < end)) {
+            const std::size_t close = lit.find('"', open + 1);
+            if (close != std::string::npos)
+                return lit.substr(open + 1, close - open - 1);
+        }
+        if (end != std::string::npos)
+            break;
+    }
+    return "";
 }
 
 /** Is the metric name within convention? */
@@ -157,6 +200,19 @@ checkTraceTelemetryRules(const Corpus &corpus, Reporter &out)
                             "hierarchy; exporters key on this");
                 }
             }
+        }
+
+        // TEL-001 also covers names declared through handles.
+        for (std::size_t i = 0; i < f.code.size(); ++i) {
+            const std::string name = handleNameLiteral(f, i);
+            if (!name.empty() && !conventionalMetricName(name))
+                out.emit(f, static_cast<int>(i) + 1, "TEL-001",
+                         drc::Severity::Error,
+                         format("counter handle name \"%s\" violates "
+                                "the [a-z][a-z0-9_.]* convention",
+                                name.c_str()),
+                         "snake_case segments, dots for hierarchy; "
+                         "exporters key on this");
         }
 
         if (has_begin_call && !has_end_call)

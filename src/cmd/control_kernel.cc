@@ -11,26 +11,6 @@ namespace {
 // 50-cycle execution: 50 ns buckets out to 6.4 us.
 constexpr std::uint64_t kServiceBucketPs = 50'000;
 constexpr std::size_t kServiceBuckets = 128;
-
-// One named counter per decode failure, so malformed-input telemetry
-// distinguishes line noise (checksum) from framing bugs (the rest).
-const char *
-decodeStatName(DecodeError error)
-{
-    switch (error) {
-      case DecodeError::Truncated:
-        return "decode_truncated";
-      case DecodeError::BadVersion:
-        return "decode_bad_version";
-      case DecodeError::BadHeaderLen:
-        return "decode_bad_header_len";
-      case DecodeError::LengthMismatch:
-        return "decode_length_mismatch";
-      case DecodeError::BadChecksum:
-        return "decode_bad_checksum";
-    }
-    return "decode_error";
-}
 } // namespace
 
 UnifiedControlKernel::UnifiedControlKernel(std::string name,
@@ -92,7 +72,7 @@ UnifiedControlKernel::submitBytes(const std::vector<std::uint8_t> &bytes)
 {
     noteMutation();
     if (bytes.size() > bufferSpace()) {
-        stats_.counter("buffer_overflow").inc();
+        bufferOverflow_.inc();
         return false;
     }
     buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
@@ -149,7 +129,7 @@ UnifiedControlKernel::systemCommand(const CommandPacket &pkt)
       case kCmdFlashErase:
         // Sectors erase instantly in the model; report the sector.
         res.data = {pkt.data.empty() ? 0 : pkt.data[0], 1};
-        stats_.counter("flash_erases").inc();
+        flashErases_.inc();
         return res;
       case kCmdTimeCount:
         res.data = {
@@ -175,7 +155,7 @@ UnifiedControlKernel::execute(const CommandPacket &pkt)
     const auto key = std::make_pair(pkt.rbbId, pkt.instanceId);
     auto it = targets_.find(key);
     if (it == targets_.end()) {
-        stats_.counter("unknown_target").inc();
+        unknownTarget_.inc();
         return {kCmdUnknownTarget, {}};
     }
     return it->second->executeCommand(pkt.commandCode, pkt.data);
@@ -205,6 +185,39 @@ UnifiedControlKernel::wakeTime() const
     return kTickMax;
 }
 
+CounterHandle &
+UnifiedControlKernel::decodeCounter(DecodeError error)
+{
+    switch (error) {
+      case DecodeError::Truncated:
+        return decodeTruncated_;
+      case DecodeError::BadVersion:
+        return decodeBadVersion_;
+      case DecodeError::BadHeaderLen:
+        return decodeBadHeaderLen_;
+      case DecodeError::LengthMismatch:
+        return decodeLengthMismatch_;
+      case DecodeError::BadChecksum:
+        return decodeBadChecksum_;
+    }
+    return decodeError_;
+}
+
+Counter &
+UnifiedControlKernel::commandCounter(std::uint16_t code)
+{
+    Counter **cached = code < commandCounters_.size()
+                           ? &commandCounters_[code]
+                           : nullptr;
+    if (cached != nullptr && *cached != nullptr)
+        return **cached;
+    Counter &c = stats_.counter(
+        std::string("cmd_") + toString(static_cast<CommandCode>(code)));
+    if (cached != nullptr)
+        *cached = &c;
+    return c;
+}
+
 void
 UnifiedControlKernel::tick()
 {
@@ -220,12 +233,12 @@ UnifiedControlKernel::tick()
         if (*outcome.error == DecodeError::Truncated) {
             // Count the stall once per buffer state, not per tick.
             if (buffer_.size() != lastTruncatedSize_) {
-                stats_.counter(decodeStatName(*outcome.error)).inc();
+                decodeCounter(*outcome.error).inc();
                 lastTruncatedSize_ = buffer_.size();
             }
             return;  // wait for the rest of the packet
         }
-        stats_.counter(decodeStatName(*outcome.error)).inc();
+        decodeCounter(*outcome.error).inc();
         lastTruncatedSize_ = 0;
         if (*outcome.error == DecodeError::BadChecksum) {
             // Boundary is known: drop the packet, answer with an error.
@@ -240,7 +253,7 @@ UnifiedControlKernel::tick()
                           buffer_.begin() +
                               static_cast<long>(
                                   std::min(total, buffer_.size())));
-            stats_.counter("checksum_errors").inc();
+            checksumErrors_.inc();
             CommandPacket err;
             err.srcId = 0;
             err.dstId = static_cast<std::uint8_t>(word0 >> 8);
@@ -253,13 +266,13 @@ UnifiedControlKernel::tick()
             // retries immediately instead of waiting out its timeout.
             const std::uint8_t src = buffer_[2];
             buffer_.clear();
-            stats_.counter("parse_errors").inc();
+            parseErrors_.inc();
             CommandPacket err;
             err.srcId = 0;
             err.dstId = src;
             err.status = kCmdMalformed;
             responses_.push_back(err.encode());
-            stats_.counter("nacks_sent").inc();
+            nacksSent_.inc();
         }
         // The dropped packet's arrival stamp goes with it.
         if (!arrivals_.empty())
@@ -299,15 +312,12 @@ UnifiedControlKernel::tick()
           pkt.srcId,
           toString(static_cast<CommandStatus>(result.status)));
     responses_.push_back(makeResponse(pkt, result).encode());
-    stats_.counter("commands_executed").inc();
-    stats_
-        .counter(std::string("cmd_") +
-                 toString(static_cast<CommandCode>(pkt.commandCode)))
-        .inc();
+    commandsExecuted_.inc();
+    commandCounter(pkt.commandCode).inc();
     if (result.status != kCmdOk)
-        stats_.counter("commands_failed").inc();
+        commandsFailed_.inc();
     if (result.status == kCmdUnknownCode)
-        stats_.counter("unknown_code").inc();
+        unknownCode_.inc();
     busyUntilCycle_ = cycle() + kCyclesPerCommand;
 
     // Service time: buffer arrival through end of soft-core execution.

@@ -10,6 +10,7 @@
 #ifndef HARMONIA_CMD_CONTROL_KERNEL_H_
 #define HARMONIA_CMD_CONTROL_KERNEL_H_
 
+#include <array>
 #include <deque>
 #include <map>
 #include <vector>
@@ -111,6 +112,8 @@ class UnifiedControlKernel : public Component {
   private:
     CommandResult execute(const CommandPacket &pkt);
     CommandResult systemCommand(const CommandPacket &pkt);
+    CounterHandle &decodeCounter(DecodeError error);
+    Counter &commandCounter(std::uint16_t code);
 
     std::size_t bufferBytes_;
     std::vector<std::uint8_t> buffer_;
@@ -123,6 +126,26 @@ class UnifiedControlKernel : public Component {
     std::size_t lastTruncatedSize_ = 0;
     ResourceVector resources_;
     StatGroup stats_;
+    CounterHandle bufferOverflow_{stats_, "buffer_overflow"};
+    CounterHandle flashErases_{stats_, "flash_erases"};
+    CounterHandle unknownTarget_{stats_, "unknown_target"};
+    CounterHandle checksumErrors_{stats_, "checksum_errors"};
+    CounterHandle parseErrors_{stats_, "parse_errors"};
+    CounterHandle nacksSent_{stats_, "nacks_sent"};
+    CounterHandle commandsExecuted_{stats_, "commands_executed"};
+    CounterHandle commandsFailed_{stats_, "commands_failed"};
+    CounterHandle unknownCode_{stats_, "unknown_code"};
+    // One counter per decode failure, so malformed-input telemetry
+    // distinguishes line noise (checksum) from framing bugs (the rest).
+    CounterHandle decodeTruncated_{stats_, "decode_truncated"};
+    CounterHandle decodeBadVersion_{stats_, "decode_bad_version"};
+    CounterHandle decodeBadHeaderLen_{stats_, "decode_bad_header_len"};
+    CounterHandle decodeLengthMismatch_{stats_, "decode_length_mismatch"};
+    CounterHandle decodeBadChecksum_{stats_, "decode_bad_checksum"};
+    CounterHandle decodeError_{stats_, "decode_error"};
+    /// Per-code `cmd_<Code>` counters, resolved on a code's first
+    /// execution; codes past the table resolve by name every time.
+    std::array<Counter *, 64> commandCounters_{};
     Histogram serviceLat_;
     std::deque<Tick> arrivals_;
     ScopedMetrics telemetry_;

@@ -122,6 +122,49 @@ class StatGroup {
     std::map<std::string, Counter> counters_;
 };
 
+/**
+ * One named counter of a StatGroup, resolved on first use and cached.
+ * Ticked code holds a handle per counter it bumps, so an increment is
+ * a pointer test rather than a string build and a map walk — closer to
+ * the hardware counter it models (§3.3.1).
+ *
+ * Resolution is lazy on purpose: the counter enters its group, and so
+ * every snapshot and subscription map built from the group, at exactly
+ * the moment a `counter(name)` call at the same site would create it.
+ * std::map nodes are stable and nothing erases from or reassigns a
+ * StatGroup, so the cached pointer lives as long as the group
+ * (resetAll() zeroes values in place). The handle is neither copyable
+ * nor movable, so a class holding one cannot be copied away from its
+ * group; declare each handle after the group it names.
+ */
+class CounterHandle {
+  public:
+    /** @p name must outlive the handle (a string literal). */
+    CounterHandle(StatGroup &group, const char *name)
+        : group_(group), name_(name)
+    {
+    }
+
+    CounterHandle(const CounterHandle &) = delete;
+    CounterHandle &operator=(const CounterHandle &) = delete;
+
+    void inc(std::uint64_t n = 1) { get().inc(n); }
+
+    /** The counter, created in the group on the first call. */
+    Counter &
+    get()
+    {
+        if (counter_ == nullptr)
+            counter_ = &group_.counter(name_);
+        return *counter_;
+    }
+
+  private:
+    StatGroup &group_;
+    const char *name_;
+    Counter *counter_ = nullptr;
+};
+
 } // namespace harmonia
 
 #endif // HARMONIA_COMMON_STATS_H_

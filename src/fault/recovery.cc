@@ -16,7 +16,7 @@ RecoveryManager::RecoveryManager(Engine &engine, Shell &shell,
     // has already drifted back under the limit.
     shell_.health().alarmLine().subscribe([this] {
         alarmPending_ = true;
-        stats_.counter("alarm_edges").inc();
+        alarmEdges_.inc();
     });
 }
 
@@ -82,7 +82,7 @@ RecoveryManager::enterDegraded()
     degraded_ = true;
     alarmPending_ = false;
     stableChecks_ = 0;
-    stats_.counter("degrade_events").inc();
+    degradeEvents_.inc();
     trace(*this, "over-temp: entering degraded mode");
     if (FlightRecorder *fdr = FlightRecorder::active())
         fdr->noteRecovery(name(), "enter-degraded", now());
@@ -99,7 +99,7 @@ RecoveryManager::enterDegraded()
                 continue;
             host.setQueueActive(q, false);
             shedQueues_.push_back(q);
-            stats_.counter("queues_shed").inc();
+            queuesShed_.inc();
         }
     }
 }
@@ -110,7 +110,7 @@ RecoveryManager::restore()
     degraded_ = false;
     alarmPending_ = false;
     stableChecks_ = 0;
-    stats_.counter("restore_events").inc();
+    restoreEvents_.inc();
     trace(*this, "cooled past hysteresis: restoring full service");
     if (FlightRecorder *fdr = FlightRecorder::active())
         fdr->noteRecovery(name(), "restore", now());
@@ -126,7 +126,7 @@ RecoveryManager::restore()
         HostRbb &host = shell_.host();
         for (std::uint16_t q : shedQueues_) {
             host.setQueueActive(q, true);
-            stats_.counter("queues_restored").inc();
+            queuesRestored_.inc();
         }
         shedQueues_.clear();
     }

@@ -72,6 +72,11 @@ class RecoveryManager : public Component {
     unsigned stableChecks_ = 0;
     std::vector<std::uint16_t> shedQueues_;
     StatGroup stats_;
+    CounterHandle alarmEdges_{stats_, "alarm_edges"};
+    CounterHandle degradeEvents_{stats_, "degrade_events"};
+    CounterHandle queuesShed_{stats_, "queues_shed"};
+    CounterHandle restoreEvents_{stats_, "restore_events"};
+    CounterHandle queuesRestored_{stats_, "queues_restored"};
     ScopedMetrics telemetry_;
 };
 

@@ -44,7 +44,7 @@ TenantRole::executeCommand(std::uint16_t code,
             return {kCmdInternalError, {}};
         table_[data[0]] = data[1];
         ++writes_;
-        stats().counter("table_writes").inc();
+        tableWrites_.inc();
         return {kCmdOk, {static_cast<std::uint32_t>(table_.size())}};
     }
     if (code == kCmdTableRead) {

@@ -57,6 +57,7 @@ class TenantRole : public Role {
   private:
     std::map<std::uint32_t, std::uint32_t> table_;
     std::uint64_t writes_ = 0;
+    CounterHandle tableWrites_{stats(), "table_writes"};
 };
 
 } // namespace harmonia

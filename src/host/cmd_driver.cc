@@ -60,7 +60,8 @@ CallStatus
 CmdDriver::attemptOnce(const CommandPacket &pkt, Tick timeout,
                        CommandPacket *resp)
 {
-    const std::string target = format("cmd%02x", srcId_);
+    // Fault rules target the driver by its stat group's name.
+    const std::string &target = stats_.name();
     std::vector<std::uint8_t> bytes = pkt.encode();
 
     // Transfer: PCIe rides the isolated DMA control queue; the I2C
@@ -86,7 +87,7 @@ CmdDriver::attemptOnce(const CommandPacket &pkt, Tick timeout,
     const bool device_dead = injectFault(FaultKind::DeviceDeath,
                                          shell_.name(), engine_.now());
     if (device_dead)
-        stats_.counter("device_dead_drops").inc();
+        deviceDeadDrops_.inc();
 
     // Fault hooks on the downstream leg. A dropped command never
     // reaches the kernel; a truncated or corrupted one arrives and
@@ -95,7 +96,7 @@ CmdDriver::attemptOnce(const CommandPacket &pkt, Tick timeout,
         // Fall through to the deadline wait so death looks like any
         // other timeout to the retry machinery.
     } else if (injectFault(FaultKind::CmdDrop, target, engine_.now())) {
-        stats_.counter("commands_dropped").inc();
+        commandsDropped_.inc();
     } else {
         if (injectFault(FaultKind::CmdTruncate, target, engine_.now(),
                         &param)) {
@@ -103,15 +104,15 @@ CmdDriver::attemptOnce(const CommandPacket &pkt, Tick timeout,
                 param != 0 ? std::min<std::size_t>(param, bytes.size())
                            : bytes.size() / 2;
             bytes.resize(std::max<std::size_t>(keep, 1));
-            stats_.counter("commands_truncated").inc();
+            commandsTruncated_.inc();
         }
         if (injectFault(FaultKind::CmdCorrupt, target, engine_.now(),
                         &param)) {
             bytes[param % bytes.size()] ^= 0x10;
-            stats_.counter("commands_corrupted").inc();
+            commandsCorrupted_.inc();
         }
         if (!shell_.kernel().submitBytes(bytes)) {
-            stats_.counter("buffer_full").inc();
+            bufferFull_.inc();
             return CallStatus::BufferFull;
         }
     }
@@ -123,7 +124,7 @@ CmdDriver::attemptOnce(const CommandPacket &pkt, Tick timeout,
                 !engine_.runUntilDone(
                     [this] { return shell_.kernel().hasResponse(); },
                     deadline - engine_.now())) {
-                stats_.counter("timeouts").inc();
+                timeouts_.inc();
                 return CallStatus::Timeout;
             }
         }
@@ -136,24 +137,24 @@ CmdDriver::attemptOnce(const CommandPacket &pkt, Tick timeout,
                         engine_.now()) ||
             injectFault(FaultKind::KernelWedge, shell_.name(),
                         engine_.now())) {
-            stats_.counter("responses_blackholed").inc();
+            responsesBlackholed_.inc();
             continue;
         }
         // Fault hooks on the upstream leg.
         if (injectFault(FaultKind::RespDrop, target, engine_.now())) {
-            stats_.counter("responses_dropped").inc();
+            responsesDropped_.inc();
             continue;  // keep waiting; likely times out and retries
         }
         if (injectFault(FaultKind::RespCorrupt, target, engine_.now(),
                         &param) &&
             !rbytes.empty()) {
             rbytes[param % rbytes.size()] ^= 0x10;
-            stats_.counter("responses_corrupted").inc();
+            responsesCorrupted_.inc();
         }
 
         const DecodeOutcome outcome = decodeCommand(rbytes);
         if (!outcome.ok()) {
-            stats_.counter("bad_responses").inc();
+            badResponses_.inc();
             return CallStatus::BadResponse;
         }
         const CommandPacket &r = *outcome.packet;
@@ -161,14 +162,14 @@ CmdDriver::attemptOnce(const CommandPacket &pkt, Tick timeout,
         // must be recognized before the match check below.
         if (r.status == kCmdChecksumError ||
             r.status == kCmdMalformed) {
-            stats_.counter("nacks").inc();
+            nacks_.inc();
             *resp = r;
             return CallStatus::Nack;
         }
         if (r.commandCode != pkt.commandCode ||
             r.rbbId != pkt.rbbId) {
             // Answer to some earlier, timed-out attempt: discard.
-            stats_.counter("stale_responses").inc();
+            staleResponses_.inc();
             continue;
         }
         *resp = r;
@@ -212,10 +213,13 @@ CmdDriver::callChecked(std::uint8_t rbb_id, std::uint8_t instance_id,
         !tracer.enabled()             ? 0
         : tracer.context().corr != 0 ? tracer.context().corr
                                       : tracer.newCorrelation();
-    const SpanId root = tracer.beginSpan(
-        started, format("cmd%02x", srcId_),
-        format("call:%s", toString(static_cast<CommandCode>(code))),
-        "command", TraceContext{tracer.context().parent, corr});
+    const std::string label =
+        tracer.enabled()
+            ? format("call:%s", toString(static_cast<CommandCode>(code)))
+            : std::string();
+    const SpanId root =
+        tracer.beginSpan(started, stats_.name(), label, "command",
+                         TraceContext{tracer.context().parent, corr});
     TraceContext ctx;
     std::uint16_t tag = 0;
     if (root != 0) {
@@ -243,37 +247,35 @@ CmdDriver::callChecked(std::uint8_t rbb_id, std::uint8_t instance_id,
                 // per-hop self times summing to lastLatency_.
                 if (transfer_latency != 0)
                     tracer.completeSpan(root_end - 2 * transfer_latency,
-                                        root_end,
-                                        format("cmd%02x", srcId_),
+                                        root_end, stats_.name(),
                                         "transfer", "wire", ctx);
                 tracer.endSpan(root, root_end);
                 tracer.disarmTag(tag);
             }
             if (FlightRecorder *fdr = FlightRecorder::active())
-                fdr->noteCommand(engine_.now(),
-                                 format("cmd%02x", srcId_), code,
+                fdr->noteCommand(engine_.now(), stats_.name(), code,
                                  toString(out.status), true,
                                  out.attempts, corr);
             return out;
         }
         if (attempt == policy_.maxAttempts)
             break;
-        stats_.counter("retries").inc();
+        retries_.inc();
         engine_.runFor(backoff);
         backoff = std::min(
             policy_.maxBackoff,
             static_cast<Tick>(static_cast<double>(backoff) *
                               policy_.multiplier));
     }
-    stats_.counter("exhausted").inc();
+    exhausted_.inc();
     if (root != 0) {
         tracer.endSpan(root, engine_.now());
         tracer.disarmTag(tag);
     }
     if (FlightRecorder *fdr = FlightRecorder::active())
-        fdr->noteCommand(engine_.now(), format("cmd%02x", srcId_),
-                         code, toString(out.status), false,
-                         out.attempts, corr);
+        fdr->noteCommand(engine_.now(), stats_.name(), code,
+                         toString(out.status), false, out.attempts,
+                         corr);
     return out;
 }
 

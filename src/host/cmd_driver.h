@@ -139,6 +139,20 @@ class CmdDriver {
     Tick lastLatency_ = 0;
     Histogram roundTrip_;
     StatGroup stats_;
+    CounterHandle deviceDeadDrops_{stats_, "device_dead_drops"};
+    CounterHandle commandsDropped_{stats_, "commands_dropped"};
+    CounterHandle commandsTruncated_{stats_, "commands_truncated"};
+    CounterHandle commandsCorrupted_{stats_, "commands_corrupted"};
+    CounterHandle bufferFull_{stats_, "buffer_full"};
+    CounterHandle timeouts_{stats_, "timeouts"};
+    CounterHandle responsesBlackholed_{stats_, "responses_blackholed"};
+    CounterHandle responsesDropped_{stats_, "responses_dropped"};
+    CounterHandle responsesCorrupted_{stats_, "responses_corrupted"};
+    CounterHandle badResponses_{stats_, "bad_responses"};
+    CounterHandle nacks_{stats_, "nacks"};
+    CounterHandle staleResponses_{stats_, "stale_responses"};
+    CounterHandle retries_{stats_, "retries"};
+    CounterHandle exhausted_{stats_, "exhausted"};
     ScopedMetrics telemetry_;
 };
 

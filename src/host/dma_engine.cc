@@ -20,15 +20,15 @@ HostDma::submit(DmaDir dir, std::uint16_t queue, std::uint32_t bytes,
     if (queue >= bins_.size())
         fatal("queue %u out of range (%zu)", queue, bins_.size());
     if (quarantined_[queue]) {
-        stats_.counter("rejected_quarantined").inc();
+        rejectedQuarantined_.inc();
         return false;
     }
     if (!host_.queueActive(queue)) {
-        stats_.counter("rejected_inactive").inc();
+        rejectedInactive_.inc();
         return false;
     }
     if (!host_.submit(dir, queue, bytes, id)) {
-        stats_.counter("rejected_backpressure").inc();
+        rejectedBackpressure_.inc();
         return false;
     }
     // One span per tracked transfer, submit to retirement; requeues
@@ -68,7 +68,7 @@ HostDma::poll()
             open.begin(), open.end(),
             [&c](const Pending &p) { return p.id == c.request.id; });
         if (it == open.end()) {
-            stats_.counter("duplicate_completions").inc();
+            duplicateCompletions_.inc();
             continue;
         }
         Trace::instance().endSpan(it->span, host_.now());
@@ -91,10 +91,10 @@ HostDma::timeoutScan()
         while (!open.empty() && open.front().deadline < t) {
             Pending p = open.front();
             open.pop_front();
-            stats_.counter("timeouts").inc();
+            timeouts_.inc();
             if (p.attempts >= policy_.maxAttempts) {
                 Trace::instance().endSpan(p.span, t);
-                stats_.counter("lost_transfers").inc();
+                lostTransfers_.inc();
                 if (++strikes_[q] >= policy_.quarantineStrikes) {
                     quarantine(q);
                     break;
@@ -106,9 +106,9 @@ HostDma::timeoutScan()
             if (host_.engine() != nullptr)
                 host_.engine()->scheduleEvent(p.deadline + 1);
             if (host_.submit(p.dir, q, p.bytes, p.id))
-                stats_.counter("requeues").inc();
+                requeues_.inc();
             else
-                stats_.counter("requeue_rejected").inc();
+                requeueRejected_.inc();
             // Tracked either way: a rejected requeue burns one of the
             // transfer's attempts and comes due again next deadline.
             open.push_back(p);
@@ -121,10 +121,9 @@ HostDma::quarantine(std::uint16_t queue)
 {
     quarantined_[queue] = true;
     host_.setQueueActive(queue, false);
-    stats_.counter("quarantines").inc();
+    quarantines_.inc();
     // Whatever was still in flight on the poisoned queue is lost.
-    stats_.counter("lost_transfers")
-        .inc(outstanding_[queue].size());
+    lostTransfers_.inc(outstanding_[queue].size());
     for (const Pending &p : outstanding_[queue])
         Trace::instance().endSpan(p.span, host_.now());
     outstanding_[queue].clear();
@@ -159,7 +158,7 @@ HostDma::releaseQuarantine(std::uint16_t queue)
     quarantined_[queue] = false;
     strikes_[queue] = 0;
     host_.setQueueActive(queue, true);
-    stats_.counter("quarantine_released").inc();
+    quarantineReleased_.inc();
 }
 
 bool

@@ -112,6 +112,16 @@ class HostDma {
     std::uint64_t transfers_ = 0;
     std::uint64_t bytes_ = 0;
     StatGroup stats_;
+    CounterHandle rejectedQuarantined_{stats_, "rejected_quarantined"};
+    CounterHandle rejectedInactive_{stats_, "rejected_inactive"};
+    CounterHandle rejectedBackpressure_{stats_, "rejected_backpressure"};
+    CounterHandle duplicateCompletions_{stats_, "duplicate_completions"};
+    CounterHandle timeouts_{stats_, "timeouts"};
+    CounterHandle lostTransfers_{stats_, "lost_transfers"};
+    CounterHandle requeues_{stats_, "requeues"};
+    CounterHandle requeueRejected_{stats_, "requeue_rejected"};
+    CounterHandle quarantines_{stats_, "quarantines"};
+    CounterHandle quarantineReleased_{stats_, "quarantine_released"};
     ScopedMetrics telemetry_;
 };
 

@@ -144,7 +144,7 @@ DmaIp::post(const DmaRequest &req)
 {
     if (req.control) {
         if (!controlQueue_.canPush()) {
-            stats_.counter("ctrl_rejected").inc();
+            ctrlRejected_.inc();
             return false;
         }
         controlQueue_.push(req);
@@ -154,7 +154,7 @@ DmaIp::post(const DmaRequest &req)
         fatal("DMA '%s': queue %u out of range (%u)", name().c_str(),
               req.queue, numQueues_);
     if (!queues_[req.queue].canPush()) {
-        stats_.counter("data_rejected").inc();
+        dataRejected_.inc();
         return false;
     }
     queues_[req.queue].push(req);
@@ -199,7 +199,7 @@ DmaIp::tick()
     while (controlQueue_.canPop()) {
         DmaRequest req = controlQueue_.pop();
         finish(req, t + baseLatency());
-        stats_.counter("ctrl_transfers").inc();
+        ctrlTransfers_.inc();
     }
 
     // Fault hook: a stalled engine (level-triggered) stops scheduling
@@ -207,7 +207,7 @@ DmaIp::tick()
     // already on the link are unaffected.
     const bool stalled = injectFault(FaultKind::DmaStall, name(), t);
     if (stalled)
-        stats_.counter("stall_ticks").inc();
+        stallTicks_.inc();
 
     // Data path: round-robin over queues onto the shared link. The
     // engine works ahead within the current cycle so link pacing is
@@ -231,8 +231,8 @@ DmaIp::tick()
                 static_cast<Tick>(seconds * kTicksPerSecond);
             busBusyUntil_ += xfer;
             finish(req, busBusyUntil_ + baseLatency());
-            stats_.counter("data_transfers").inc();
-            stats_.counter("data_bytes").inc(req.bytes);
+            dataTransfers_.inc();
+            dataBytes_.inc(req.bytes);
             found = true;
             break;
         }
@@ -250,7 +250,7 @@ DmaIp::tick()
         const DmaCompletion &c = inFlight_.front().second;
         if (!c.request.control &&
             injectFault(FaultKind::DmaCompletionLoss, name(), t)) {
-            stats_.counter("completions_lost").inc();
+            completionsLost_.inc();
             inFlight_.pop_front();
             continue;
         }

@@ -144,6 +144,13 @@ class DmaIp : public IpBlock {
     std::size_t rrNext_ = 0;
     std::size_t pendingData_ = 0;  ///< requests staged in queues_
     StatGroup stats_;
+    CounterHandle ctrlRejected_{stats_, "ctrl_rejected"};
+    CounterHandle dataRejected_{stats_, "data_rejected"};
+    CounterHandle ctrlTransfers_{stats_, "ctrl_transfers"};
+    CounterHandle stallTicks_{stats_, "stall_ticks"};
+    CounterHandle dataTransfers_{stats_, "data_transfers"};
+    CounterHandle dataBytes_{stats_, "data_bytes"};
+    CounterHandle completionsLost_{stats_, "completions_lost"};
 };
 
 /** Xilinx QDMA-style engine. */

@@ -81,9 +81,9 @@ MacIp::tick()
     const bool link_down =
         injectFault(FaultKind::LinkFlap, name(), t);
     if (link_down) {
-        stats_.counter("link_down_ticks").inc();
+        linkDownTicks_.inc();
         while (!inFlight_.empty() && inFlight_.front().first <= t) {
-            stats_.counter("link_down_drops").inc();
+            linkDownDrops_.inc();
             inFlight_.pop_front();
         }
         return;
@@ -99,8 +99,8 @@ MacIp::tick()
         PacketDesc pkt = tx_.pop();
         const Tick wt = wireTime(pkt.bytes, lineRateBps());
         txBusyUntil_ += wt;
-        stats_.counter("tx_packets").inc();
-        stats_.counter("tx_bytes").inc(pkt.bytes);
+        txPackets_.inc();
+        txBytes_.inc(pkt.bytes);
         if (loopback_)
             arrive(pkt, txBusyUntil_);
         else if (peer_)
@@ -117,16 +117,16 @@ MacIp::tick()
         if (injectFault(FaultKind::StreamBitFlip, name(), t))
             pkt.fcsError = true;
         if (pkt.fcsError) {
-            stats_.counter("rx_bad_fcs").inc();
+            rxBadFcs_.inc();
             continue;
         }
         if (!rx_.canPush()) {
-            stats_.counter("rx_dropped").inc();
+            rxDropped_.inc();
             continue;
         }
         rx_.push(pkt);
-        stats_.counter("rx_packets").inc();
-        stats_.counter("rx_bytes").inc(pkt.bytes);
+        rxPackets_.inc();
+        rxBytes_.inc(pkt.bytes);
     }
 }
 

@@ -96,6 +96,14 @@ class MacIp : public IpBlock {
     bool loopback_ = false;
     MacIp *peer_ = nullptr;
     StatGroup stats_;
+    CounterHandle linkDownTicks_{stats_, "link_down_ticks"};
+    CounterHandle linkDownDrops_{stats_, "link_down_drops"};
+    CounterHandle txPackets_{stats_, "tx_packets"};
+    CounterHandle txBytes_{stats_, "tx_bytes"};
+    CounterHandle rxBadFcs_{stats_, "rx_bad_fcs"};
+    CounterHandle rxDropped_{stats_, "rx_dropped"};
+    CounterHandle rxPackets_{stats_, "rx_packets"};
+    CounterHandle rxBytes_{stats_, "rx_bytes"};
 };
 
 /** Xilinx CMAC-style MAC: AXI4-Stream, explicit align-wait init. */

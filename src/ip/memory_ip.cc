@@ -59,7 +59,7 @@ MemoryIp::post(unsigned channel, const MemRequest &req)
     if (req.bytes == 0)
         fatal("memory request of zero bytes");
     if (!channels_[channel].queue.canPush()) {
-        stats_.counter("rejected").inc();
+        rejected_.inc();
         return false;
     }
     channels_[channel].queue.push(req);
@@ -107,9 +107,9 @@ MemoryIp::tick()
             if (ch.openRow[bank] != row) {
                 occupancy += kRowMissPenalty;
                 ch.openRow[bank] = row;
-                stats_.counter("row_misses").inc();
+                rowMisses_.inc();
             } else {
-                stats_.counter("row_hits").inc();
+                rowHits_.inc();
             }
             const std::uint32_t moved =
                 std::max(req.bytes, burstBytes());
@@ -123,8 +123,8 @@ MemoryIp::tick()
                 [](Tick x, const auto &e) { return x < e.first; });
             inFlight_.insert(it, {c.completed, c});
 
-            stats_.counter(req.write ? "writes" : "reads").inc();
-            stats_.counter("bytes").inc(req.bytes);
+            (req.write ? writes_ : reads_).inc();
+            bytes_.inc(req.bytes);
         }
     }
 

@@ -112,6 +112,12 @@ class MemoryIp : public IpBlock {
     std::deque<std::pair<Tick, MemCompletion>> inFlight_;
     Fifo<MemCompletion> completions_{8192};
     StatGroup stats_;
+    CounterHandle rejected_{stats_, "rejected"};
+    CounterHandle rowMisses_{stats_, "row_misses"};
+    CounterHandle rowHits_{stats_, "row_hits"};
+    CounterHandle bytes_{stats_, "bytes"};
+    CounterHandle reads_{stats_, "reads"};
+    CounterHandle writes_{stats_, "writes"};
     // Sparse backing store: strictly point lookups, never iterated.
     // harmonia-lint: allow(DET-003) lookup-only page table
     std::unordered_map<Addr, std::vector<std::uint8_t>> pages_;

@@ -155,17 +155,19 @@ SloEngine::transition(Alert &a, AlertState to, Tick now)
         return;
     a.status.state = to;
     a.status.since = now;
-    stats_.counter(std::string("to_") + toString(to)).inc();
     switch (to) {
       case AlertState::Pending:
+        toPending_.inc();
         ++a.status.pendingEvents;
         break;
       case AlertState::Firing:
+        toFiring_.inc();
         ++a.status.fireEvents;
         a.firedAt = now;
         a.clearSince = 0;
         break;
       case AlertState::Resolved:
+        toResolved_.inc();
         ++a.status.resolveEvents;
         // The firing interval renders as one span on the alert track,
         // next to the workload spans that burned the budget.
@@ -174,6 +176,7 @@ SloEngine::transition(Alert &a, AlertState to, Tick now)
                                        "alert");
         break;
       case AlertState::Inactive:
+        toInactive_.inc();
         break;
     }
     trace(*this, "alert %s: %s -> %s (burn %.3f)",
@@ -193,13 +196,13 @@ SloEngine::evaluate(Tick now)
         const double burn = burnRate(s, store_, now);
         a.status.burnRate = burn;
         ++a.evals;
-        stats_.counter("evaluations").inc();
+        evaluations_.inc();
 
         const bool trip = burn >= s.burnThreshold;
         const bool clear = burn <= s.burnThreshold * s.clearRatio;
         if (trip) {
             ++a.breaches;
-            stats_.counter("breaches").inc();
+            breaches_.inc();
         }
 
         // Lifetime budget: error SLOs consume bad/total against the

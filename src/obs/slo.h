@@ -176,6 +176,12 @@ class SloEngine : public Component {
     std::vector<Alert> alerts_;
     FlightRecorder *recorder_ = nullptr;
     StatGroup stats_;
+    CounterHandle evaluations_{stats_, "evaluations"};
+    CounterHandle breaches_{stats_, "breaches"};
+    CounterHandle toInactive_{stats_, "to_inactive"};
+    CounterHandle toPending_{stats_, "to_pending"};
+    CounterHandle toFiring_{stats_, "to_firing"};
+    CounterHandle toResolved_{stats_, "to_resolved"};
     ScopedMetrics telemetry_;
 };
 

@@ -52,6 +52,8 @@ class BoardTest : public Role {
     bool testMemory(Engine &engine, BoardReport &report);
     bool testHost(Engine &engine, BoardReport &report);
     bool testKernel(Engine &engine, BoardReport &report);
+    CounterHandle runs_{stats(), "runs"};
+    CounterHandle passes_{stats(), "passes"};
 };
 
 } // namespace harmonia

@@ -59,7 +59,7 @@ HostNetwork::tick()
 
         if (it == flows_.end()) {
             // Slow path: punt to the host for rule installation.
-            stats().counter("upcalls").inc();
+            upcalls_.inc();
             host.submit(DmaDir::C2H, pkt.queue % host.numQueues(),
                         pkt.bytes, pkt.id);
             if (autoInstall_) {
@@ -75,21 +75,21 @@ HostNetwork::tick()
         const FlowAction &action = it->second;
         switch (action.kind) {
           case FlowAction::Kind::ToHostQueue:
-            stats().counter("to_host").inc();
-            stats().counter("offloaded_bytes").inc(pkt.bytes);
+            toHost_.inc();
+            offloadedBytes_.inc(pkt.bytes);
             host.submit(DmaDir::C2H, action.queue, pkt.bytes, pkt.id);
             break;
           case FlowAction::Kind::ToWire:
             if (!tx_port.txReady()) {
-                stats().counter("tx_drops").inc();
+                txDrops_.inc();
                 break;
             }
-            stats().counter("to_wire").inc();
-            stats().counter("offloaded_bytes").inc(pkt.bytes);
+            toWire_.inc();
+            offloadedBytes_.inc(pkt.bytes);
             tx_port.txPush(pkt);
             break;
           case FlowAction::Kind::Drop:
-            stats().counter("dropped").inc();
+            dropped_.inc();
             break;
         }
     }

@@ -52,6 +52,12 @@ class HostNetwork : public Role {
     // deterministic container keeps any future table walk stable.
     std::map<std::uint64_t, FlowAction> flows_;
     bool autoInstall_ = true;
+    CounterHandle upcalls_{stats(), "upcalls"};
+    CounterHandle toHost_{stats(), "to_host"};
+    CounterHandle offloadedBytes_{stats(), "offloaded_bytes"};
+    CounterHandle txDrops_{stats(), "tx_drops"};
+    CounterHandle toWire_{stats(), "to_wire"};
+    CounterHandle dropped_{stats(), "dropped"};
 };
 
 } // namespace harmonia

@@ -93,16 +93,16 @@ Layer4Lb::processFlowPacket(std::uint64_t flow_hash, FlowPhase phase)
 {
     auto it = connTable_.find(flow_hash);
     if (it != connTable_.end()) {
-        stats().counter("table_hits").inc();
+        tableHits_.inc();
         const unsigned server = it->second;
         if (phase == FlowPhase::Fin) {
             connTable_.erase(it);
-            stats().counter("flows_closed").inc();
+            flowsClosed_.inc();
         }
         return server;
     }
 
-    stats().counter("table_misses").inc();
+    tableMisses_.inc();
     const unsigned server = pickServer(flow_hash);
     if (phase != FlowPhase::Fin) {
         if (connTable_.size() >= kConnTableCapacity)
@@ -118,7 +118,7 @@ Layer4Lb::processFlowPacket(std::uint64_t flow_hash, FlowPhase phase)
                     live.push_back(key);
             evictFifo_.swap(live);
         }
-        stats().counter("flows_opened").inc();
+        flowsOpened_.inc();
     }
     return server;
 }
@@ -132,7 +132,7 @@ Layer4Lb::evictOldest()
         const std::uint64_t victim = evictFifo_.front();
         evictFifo_.pop_front();
         if (connTable_.erase(victim) != 0) {
-            stats().counter("evictions").inc();
+            evictions_.inc();
             return;
         }
     }
@@ -241,8 +241,8 @@ Layer4Lb::tick()
             phase = FlowPhase::Fin;
         const unsigned server = processFlowPacket(pkt.flowHash, phase);
         pkt.queue = static_cast<std::uint16_t>(server % 1024);
-        stats().counter("forwarded_packets").inc();
-        stats().counter("forwarded_bytes").inc(pkt.bytes);
+        forwardedPackets_.inc();
+        forwardedBytes_.inc(pkt.bytes);
         downlink.txPush(pkt);
     }
 }

@@ -77,6 +77,13 @@ class Layer4Lb : public Role {
      *  skipped at eviction time and compacted when the queue grows
      *  past twice the table capacity. */
     std::deque<std::uint64_t> evictFifo_;
+    CounterHandle tableHits_{stats(), "table_hits"};
+    CounterHandle flowsClosed_{stats(), "flows_closed"};
+    CounterHandle tableMisses_{stats(), "table_misses"};
+    CounterHandle flowsOpened_{stats(), "flows_opened"};
+    CounterHandle evictions_{stats(), "evictions"};
+    CounterHandle forwardedPackets_{stats(), "forwarded_packets"};
+    CounterHandle forwardedBytes_{stats(), "forwarded_bytes"};
 };
 
 } // namespace harmonia

@@ -88,11 +88,11 @@ bool
 Retrieval::submitQuery(std::uint64_t id)
 {
     if (pending_.size() >= 64) {
-        stats().counter("rejected_queries").inc();
+        rejectedQueries_.inc();
         return false;
     }
     pending_.emplace_back(id, now());
-    stats().counter("queries").inc();
+    queries_.inc();
     return true;
 }
 
@@ -273,7 +273,7 @@ Retrieval::tick()
                 result.topK.emplace_back(all[i].second, all[i].first);
         }
         results_.push_back(std::move(result));
-        stats().counter("completed_queries").inc();
+        completedQueries_.inc();
         busy_ = false;
     }
 

@@ -96,6 +96,9 @@ class Retrieval : public Role {
     Tick activeSubmitted_ = 0;
     Tick busyUntil_ = 0;
     unsigned readsOutstanding_ = 0;
+    CounterHandle rejectedQueries_{stats(), "rejected_queries"};
+    CounterHandle queries_{stats(), "queries"};
+    CounterHandle completedQueries_{stats(), "completed_queries"};
 };
 
 } // namespace harmonia

@@ -50,12 +50,12 @@ SecGateway::tick()
     while (net.rxAvailable() && net.txReady()) {
         PacketDesc pkt = net.rxPop();
         if (!allows(pkt.flowHash)) {
-            stats().counter("denied_packets").inc();
-            stats().counter("denied_bytes").inc(pkt.bytes);
+            deniedPackets_.inc();
+            deniedBytes_.inc(pkt.bytes);
             continue;
         }
-        stats().counter("forwarded_packets").inc();
-        stats().counter("forwarded_bytes").inc(pkt.bytes);
+        forwardedPackets_.inc();
+        forwardedBytes_.inc(pkt.bytes);
         net.txPush(pkt);
     }
 }

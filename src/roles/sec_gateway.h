@@ -59,6 +59,10 @@ class SecGateway : public Role {
   private:
     std::vector<GatewayPolicy> policies_;
     bool defaultAllow_ = true;
+    CounterHandle deniedPackets_{stats(), "denied_packets"};
+    CounterHandle deniedBytes_{stats(), "denied_bytes"};
+    CounterHandle forwardedPackets_{stats(), "forwarded_packets"};
+    CounterHandle forwardedBytes_{stats(), "forwarded_bytes"};
 };
 
 } // namespace harmonia

@@ -129,13 +129,13 @@ HostRbb::submit(DmaDir dir, std::uint16_t queue, std::uint32_t bytes,
     // they call for different fixes, so they are counted apart (the
     // aggregate feeds the MON_REJECTED register).
     if (!arbiter_.isActive(queue)) {
-        monitor().counter("rejected").inc();
-        monitor().counter("rejected_inactive").inc();
+        rejected_.inc();
+        rejectedInactive_.inc();
         return false;
     }
     if (!staging_[queue].canPush()) {
-        monitor().counter("rejected").inc();
-        monitor().counter("rejected_backpressure").inc();
+        rejected_.inc();
+        rejectedBackpressure_.inc();
         return false;
     }
     DmaRequest req;
@@ -146,7 +146,7 @@ HostRbb::submit(DmaDir dir, std::uint16_t queue, std::uint32_t bytes,
     req.id = id;
     staging_[queue].push(req);
     ++staged_;
-    monitor().counter("submitted").inc();
+    submitted_.inc();
     return true;
 }
 
@@ -205,8 +205,8 @@ HostRbb::tick()
     // Collect completions (control-channel completions surface too).
     while (dma_->hasCompletion()) {
         DmaCompletion c = dma_->popCompletion();
-        monitor().counter("completed").inc();
-        monitor().counter("bytes").inc(c.request.bytes);
+        completed_.inc();
+        bytes_.inc(c.request.bytes);
         out_.push_back(c);
     }
 }

@@ -108,6 +108,12 @@ class HostRbb : public Rbb {
     ActiveListArbiter arbiter_;
     std::deque<DmaCompletion> out_;
     std::size_t queuesConfigured_ = 0;
+    CounterHandle rejected_{monitor(), "rejected"};
+    CounterHandle rejectedInactive_{monitor(), "rejected_inactive"};
+    CounterHandle rejectedBackpressure_{monitor(), "rejected_backpressure"};
+    CounterHandle submitted_{monitor(), "submitted"};
+    CounterHandle completed_{monitor(), "completed"};
+    CounterHandle bytes_{monitor(), "bytes"};
 };
 
 } // namespace harmonia

@@ -124,11 +124,11 @@ bool
 MemoryRbb::read(Addr addr, std::uint32_t bytes, std::uint64_t id)
 {
     noteMutation();
-    monitor().counter("reads").inc();
-    monitor().counter("bytes").inc(bytes);
+    reads_.inc();
+    bytes_.inc(bytes);
 
     if (hotCache_ && bytes <= kCacheLineBytes && cacheLookup(addr)) {
-        monitor().counter("cache_hits").inc();
+        cacheHitCount_.inc();
         MemCompletion c;
         c.request = {false, addr, bytes, now(), id};
         const Tick hit_latency =
@@ -138,7 +138,7 @@ MemoryRbb::read(Addr addr, std::uint32_t bytes, std::uint64_t id)
         return true;
     }
     if (hotCache_)
-        monitor().counter("cache_misses").inc();
+        cacheMissCount_.inc();
 
     UniformMemCommand cmd{addr, bytes, false};
     return wrapper_.post(channelFor(addr), cmd, id);
@@ -148,8 +148,8 @@ bool
 MemoryRbb::write(Addr addr, std::uint32_t bytes, std::uint64_t id)
 {
     noteMutation();
-    monitor().counter("writes").inc();
-    monitor().counter("bytes").inc(bytes);
+    writes_.inc();
+    bytes_.inc(bytes);
     cacheInvalidate(addr);
     UniformMemCommand cmd{addr, bytes, true};
     return wrapper_.post(channelFor(addr), cmd, id);

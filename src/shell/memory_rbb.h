@@ -116,6 +116,11 @@ class MemoryRbb : public Rbb {
     std::vector<CacheLine> lines_;
     bool interleave_ = true;
     bool hotCache_ = true;
+    CounterHandle reads_{monitor(), "reads"};
+    CounterHandle bytes_{monitor(), "bytes"};
+    CounterHandle cacheHitCount_{monitor(), "cache_hits"};
+    CounterHandle cacheMissCount_{monitor(), "cache_misses"};
+    CounterHandle writes_{monitor(), "writes"};
 };
 
 } // namespace harmonia

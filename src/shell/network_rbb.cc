@@ -202,9 +202,7 @@ void
 NetworkRbb::setRxShed(bool on)
 {
     if (rxShed_ != on)
-        monitor()
-            .counter(on ? "shed_enters" : "shed_exits")
-            .inc();
+        (on ? shedEnters_ : shedExits_).inc();
     rxShed_ = on;
     rxShedPhase_ = 0;
 }
@@ -251,7 +249,7 @@ NetworkRbb::filterPass(const PacketDesc &pkt)
         return true;
     if (pkt.multicast && inMulticastGroup(pkt.dstMac))
         return true;
-    monitor().counter("filtered_packets").inc();
+    filteredPackets_.inc();
     return false;
 }
 
@@ -265,7 +263,7 @@ NetworkRbb::tick()
     // Wrapper -> filter -> director -> role queue.
     while (wrapper_.ingressAvailable()) {
         if (!rxOut_.canPush()) {
-            monitor().counter("rx_drops").inc();
+            rxDrops_.inc();
             wrapper_.ingressPop();
             continue;
         }
@@ -273,18 +271,18 @@ NetworkRbb::tick()
         if (pkt.fcsError) {
             // Corrupted on a shell-internal link (injected fault);
             // the filter stage drops it like the MAC drops bad FCS.
-            monitor().counter("rx_bad_fcs").inc();
+            rxBadFcs_.inc();
             continue;
         }
         if (rxShed_ && (rxShedPhase_++ & 1)) {
-            monitor().counter("rx_shed").inc();
+            rxShedDrops_.inc();
             continue;
         }
         if (!filterPass(pkt))
             continue;
         pkt.queue = directQueue(pkt.flowHash);
-        monitor().counter("rx_packets").inc();
-        monitor().counter("rx_bytes").inc(pkt.bytes);
+        rxPackets_.inc();
+        rxBytes_.inc(pkt.bytes);
         rxBytesMeter_.record(now(), pkt.bytes);
         rxPacketsMeter_.record(now());
         rxOut_.push(pkt);
@@ -295,8 +293,8 @@ NetworkRbb::tick()
         wrapper_.egressPush(txIn_.pop());
     while (wrapper_.egressAvailable() && mac_->txReady()) {
         PacketDesc pkt = wrapper_.egressPop();
-        monitor().counter("tx_packets").inc();
-        monitor().counter("tx_bytes").inc(pkt.bytes);
+        txPackets_.inc();
+        txBytes_.inc(pkt.bytes);
         mac_->txPush(pkt);
     }
 }

@@ -143,6 +143,16 @@ class NetworkRbb : public Rbb {
     std::size_t flowEntriesProgrammed_ = 0;
     RateMeter rxBytesMeter_;
     RateMeter rxPacketsMeter_;
+    CounterHandle filteredPackets_{monitor(), "filtered_packets"};
+    CounterHandle rxDrops_{monitor(), "rx_drops"};
+    CounterHandle rxBadFcs_{monitor(), "rx_bad_fcs"};
+    CounterHandle rxShedDrops_{monitor(), "rx_shed"};
+    CounterHandle rxPackets_{monitor(), "rx_packets"};
+    CounterHandle rxBytes_{monitor(), "rx_bytes"};
+    CounterHandle txPackets_{monitor(), "tx_packets"};
+    CounterHandle txBytes_{monitor(), "tx_bytes"};
+    CounterHandle shedEnters_{monitor(), "shed_enters"};
+    CounterHandle shedExits_{monitor(), "shed_exits"};
 };
 
 } // namespace harmonia

@@ -79,11 +79,11 @@ PrController::load(std::size_t slot, Role &role)
         fatal("PR slot %zu out of range (%zu)", slot, slots_.size());
     Slot &s = slots_[slot];
     if (s.state != PrSlotState::Empty) {
-        stats_.counter("load_rejected").inc();
+        loadRejected_.inc();
         return false;
     }
     if (!role.requirements().roleLogic.fitsIn(s.capacity)) {
-        stats_.counter("load_too_big").inc();
+        loadTooBig_.inc();
         return false;
     }
 
@@ -92,7 +92,7 @@ PrController::load(std::size_t slot, Role &role)
     } else if (role.slot() != static_cast<std::uint8_t>(slot)) {
         // A bound role keeps its clock registration and slot id for
         // life; it may only be reloaded into its original slot.
-        stats_.counter("load_rejected").inc();
+        loadRejected_.inc();
         return false;
     } else {
         // Reload after unload/scrub: re-attach the command target the
@@ -106,7 +106,7 @@ PrController::load(std::size_t slot, Role &role)
     s.state = PrSlotState::Reconfiguring;
     s.doneAt = now() + reconfigTime(slot);
     s.attempts = 1;
-    stats_.counter("loads").inc();
+    loads_.inc();
     return true;
 }
 
@@ -117,7 +117,7 @@ PrController::unload(std::size_t slot)
         fatal("PR slot %zu out of range (%zu)", slot, slots_.size());
     Slot &s = slots_[slot];
     if (s.state == PrSlotState::Empty) {
-        stats_.counter("unload_rejected").inc();
+        unloadRejected_.inc();
         return false;
     }
     if (s.role != nullptr) {
@@ -129,7 +129,7 @@ PrController::unload(std::size_t slot)
     s.state = PrSlotState::Empty;
     s.doneAt = 0;
     s.attempts = 0;
-    stats_.counter("unloads").inc();
+    unloads_.inc();
     return true;
 }
 
@@ -174,7 +174,7 @@ PrController::tick()
             s.state = PrSlotState::Empty;
             s.doneAt = 0;
             s.attempts = 0;
-            stats_.counter("slots_corrupted").inc();
+            slotsCorrupted_.inc();
             trace(*this, "slot %zu configuration corrupted; scrubbed",
                   i);
             continue;
@@ -188,7 +188,7 @@ PrController::tick()
             if (s.attempts < kMaxLoadAttempts) {
                 ++s.attempts;
                 s.doneAt = now() + reconfigTime(i);
-                stats_.counter("load_retries").inc();
+                loadRetries_.inc();
                 trace(*this, "slot %zu load failed; retry %u/%u", i,
                       s.attempts, kMaxLoadAttempts);
                 continue;
@@ -204,7 +204,7 @@ PrController::tick()
             s.state = PrSlotState::Empty;
             s.doneAt = 0;
             s.attempts = 0;
-            stats_.counter("load_aborted").inc();
+            loadAborted_.inc();
             trace(*this, "slot %zu scrubbed after failed loads", i);
             continue;
         }
@@ -215,7 +215,7 @@ PrController::tick()
             trace(*this, "slot activated with role '%s'",
                   s.role->name().c_str());
         }
-        stats_.counter("activations").inc();
+        activations_.inc();
     }
 }
 

@@ -110,6 +110,15 @@ class PrController : public Component, public CommandTarget {
     std::vector<Slot> slots_;
     ResourceVector resources_;
     StatGroup stats_;
+    CounterHandle loadRejected_{stats_, "load_rejected"};
+    CounterHandle loadTooBig_{stats_, "load_too_big"};
+    CounterHandle loads_{stats_, "loads"};
+    CounterHandle unloadRejected_{stats_, "unload_rejected"};
+    CounterHandle unloads_{stats_, "unloads"};
+    CounterHandle slotsCorrupted_{stats_, "slots_corrupted"};
+    CounterHandle loadRetries_{stats_, "load_retries"};
+    CounterHandle loadAborted_{stats_, "load_aborted"};
+    CounterHandle activations_{stats_, "activations"};
 };
 
 } // namespace harmonia

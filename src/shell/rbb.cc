@@ -171,11 +171,9 @@ Rbb::executeCommand(std::uint16_t code,
             tracer.openSpanBegin(tracer.context().parent);
         if (begin < parent_begin)
             begin = parent_begin;
-        tracer.completeSpan(
-            begin, now(), name(),
-            format("execute:%s",
-                   toString(static_cast<CommandCode>(code))),
-            "rbb");
+        const std::string what = format(
+            "execute:%s", toString(static_cast<CommandCode>(code)));
+        tracer.completeSpan(begin, now(), name(), what, "rbb");
     }
     switch (code) {
       case kCmdModuleStatusRead:

@@ -11,18 +11,6 @@ namespace harmonia {
 
 thread_local TraceContext Trace::current_;
 
-Trace &
-Trace::instance()
-{
-    static bool applied_env = false;
-    static Trace t;
-    if (!applied_env) {
-        applied_env = true;
-        t.applyEnvCapacity();
-    }
-    return t;
-}
-
 void
 Trace::applyEnvCapacity()
 {
@@ -40,35 +28,22 @@ Trace::applyEnvCapacity()
 }
 
 void
-Trace::record(Tick tick, std::string who, std::string what)
+Trace::pushEntry(Tick tick, std::string_view who, std::string_view what)
 {
-    if (!enabled_)
-        return;
-    entries_.push({tick, std::move(who), std::move(what)});
+    entries_.push({tick, std::string(who), std::string(what)});
 }
 
 SpanId
-Trace::beginSpan(Tick begin, std::string who, std::string what,
-                 std::string cat)
+Trace::openSpan(Tick begin, std::string_view who, std::string_view what,
+                std::string_view cat, const TraceContext &ctx)
 {
-    return beginSpan(begin, std::move(who), std::move(what),
-                     std::move(cat), current_);
-}
-
-SpanId
-Trace::beginSpan(Tick begin, std::string who, std::string what,
-                 std::string cat, const TraceContext &ctx)
-{
-    if (!enabled_)
-        return 0;
     if (open_.size() >= maxOpen_) {
         ++droppedOpens_;
         return 0;
     }
     const SpanId id = nextSpanId_++;
-    open_[id] = {id,     ctx.parent,      ctx.corr,
-                 begin,  begin,           std::move(who),
-                 std::move(what), std::move(cat)};
+    open_[id] = {id, ctx.parent, ctx.corr, begin, begin,
+                 std::string(who), std::string(what), std::string(cat)};
     return id;
 }
 
@@ -100,24 +75,14 @@ Trace::openSpanBegin(SpanId id) const
 }
 
 void
-Trace::completeSpan(Tick begin, Tick end, std::string who,
-                    std::string what, std::string cat)
+Trace::pushSpan(Tick begin, Tick end, std::string_view who,
+                std::string_view what, std::string_view cat,
+                const TraceContext &ctx)
 {
-    completeSpan(begin, end, std::move(who), std::move(what),
-                 std::move(cat), current_);
-}
-
-void
-Trace::completeSpan(Tick begin, Tick end, std::string who,
-                    std::string what, std::string cat,
-                    const TraceContext &ctx)
-{
-    if (!enabled_)
-        return;
     if (end < begin)
         end = begin;
     spans_.push({nextSpanId_++, ctx.parent, ctx.corr, begin, end,
-                 std::move(who), std::move(what), std::move(cat)});
+                 std::string(who), std::string(what), std::string(cat)});
 }
 
 std::uint16_t
@@ -201,7 +166,7 @@ trace(const Component &component, const char *fmt, ...)
     va_start(ap, fmt);
     std::string what = vformat(fmt, ap);
     va_end(ap);
-    t.record(component.now(), component.name(), std::move(what));
+    t.record(component.now(), component.name(), what);
 }
 
 } // namespace harmonia

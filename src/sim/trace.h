@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -142,25 +143,49 @@ class Trace {
     /** Default open-span table bound (leak guard). */
     static constexpr std::size_t kMaxOpenSpans = 4096;
 
-    static Trace &instance();
+    /** The process-wide trace; inline so a disabled call site pays
+     *  only the static's guard test before its enabled() branch. */
+    static Trace &
+    instance()
+    {
+        static Trace t;
+        return t;
+    }
 
     void setEnabled(bool on) { enabled_ = on; }
     bool enabled() const { return enabled_; }
 
+    // The recording calls take their strings as views and copy them
+    // only when tracing is on: with tracing off a call is one branch,
+    // so per-packet call sites need no enabled() guard of their own.
+
     /** Append an instant event (oldest entries evicted in O(1)). */
-    void record(Tick tick, std::string who, std::string what);
+    void
+    record(Tick tick, std::string_view who, std::string_view what)
+    {
+        if (enabled_)
+            pushEntry(tick, who, what);
+    }
 
     /**
      * Open a span. Returns 0 when tracing is disabled or the open-span
      * table is full; endSpan(0) is a no-op, so callers need no guard.
      * The span is stamped with the ambient context (see setContext).
      */
-    SpanId beginSpan(Tick begin, std::string who, std::string what,
-                     std::string cat = "span");
+    SpanId
+    beginSpan(Tick begin, std::string_view who, std::string_view what,
+              std::string_view cat = "span")
+    {
+        return enabled_ ? openSpan(begin, who, what, cat, current_) : 0;
+    }
 
     /** Open a span under an explicit context instead of the ambient. */
-    SpanId beginSpan(Tick begin, std::string who, std::string what,
-                     std::string cat, const TraceContext &ctx);
+    SpanId
+    beginSpan(Tick begin, std::string_view who, std::string_view what,
+              std::string_view cat, const TraceContext &ctx)
+    {
+        return enabled_ ? openSpan(begin, who, what, cat, ctx) : 0;
+    }
 
     /**
      * Close a span and return its duration in ticks. Unknown or zero
@@ -169,13 +194,23 @@ class Trace {
     Tick endSpan(SpanId id, Tick end);
 
     /** Record an already-measured interval as one completed span. */
-    void completeSpan(Tick begin, Tick end, std::string who,
-                      std::string what, std::string cat = "span");
+    void
+    completeSpan(Tick begin, Tick end, std::string_view who,
+                 std::string_view what, std::string_view cat = "span")
+    {
+        if (enabled_)
+            pushSpan(begin, end, who, what, cat, current_);
+    }
 
     /** Same, under an explicit context instead of the ambient. */
-    void completeSpan(Tick begin, Tick end, std::string who,
-                      std::string what, std::string cat,
-                      const TraceContext &ctx);
+    void
+    completeSpan(Tick begin, Tick end, std::string_view who,
+                 std::string_view what, std::string_view cat,
+                 const TraceContext &ctx)
+    {
+        if (enabled_)
+            pushSpan(begin, end, who, what, cat, ctx);
+    }
 
     // --- Causal context -------------------------------------------
 
@@ -255,7 +290,16 @@ class Trace {
     std::string dump(std::size_t last_n = kCapacity) const;
 
   private:
-    Trace() = default;
+    Trace() { applyEnvCapacity(); }
+
+    // Enabled-only halves of record / beginSpan / completeSpan.
+    void pushEntry(Tick tick, std::string_view who, std::string_view what);
+    SpanId openSpan(Tick begin, std::string_view who,
+                    std::string_view what, std::string_view cat,
+                    const TraceContext &ctx);
+    void pushSpan(Tick begin, Tick end, std::string_view who,
+                  std::string_view what, std::string_view cat,
+                  const TraceContext &ctx);
 
     bool enabled_ = false;
     SpanId nextSpanId_ = 1;

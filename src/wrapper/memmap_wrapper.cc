@@ -57,8 +57,8 @@ MemMapWrapper::post(unsigned channel, const UniformMemCommand &cmd,
     req.id = id;
     if (!memory_.post(channel, req))
         return false;
-    stats_.counter(cmd.write ? "writes" : "reads").inc();
-    stats_.counter("bytes").inc(cmd.size);
+    (cmd.write ? writes_ : reads_).inc();
+    bytes_.inc(cmd.size);
     return true;
 }
 

@@ -88,6 +88,9 @@ class MemMapWrapper : public Component {
     Histogram accessLat_;
     ResourceVector resources_;
     StatGroup stats_;
+    CounterHandle reads_{stats_, "reads"};
+    CounterHandle writes_{stats_, "writes"};
+    CounterHandle bytes_{stats_, "bytes"};
     ScopedMetrics telemetry_;
 };
 

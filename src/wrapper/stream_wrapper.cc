@@ -54,20 +54,20 @@ StreamWrapper::ingressPush(const PacketDesc &pkt)
     // Fault hooks: a dropped packet must not enter the delay line or
     // the flight-record deque (they are matched 1:1 on pop).
     if (injectFault(FaultKind::StreamBeatDrop, name(), now())) {
-        stats_.counter("fault_drops").inc();
+        faultDrops_.inc();
         return;
     }
     PacketDesc p = pkt;
     if (injectFault(FaultKind::StreamBitFlip, name(), now())) {
         p.fcsError = true;
-        stats_.counter("fault_corruptions").inc();
+        faultCorruptions_.inc();
     }
     ingress_.push(p, now() + addedLatency());
     ingressFlight_.push_back(
         {now(), Trace::instance().beginSpan(now(), name(), "ingress",
                                             "wrapper")});
-    stats_.counter("ingress_packets").inc();
-    stats_.counter("ingress_bytes").inc(p.bytes);
+    ingressPackets_.inc();
+    ingressBytes_.inc(p.bytes);
 }
 
 bool
@@ -93,20 +93,20 @@ void
 StreamWrapper::egressPush(const PacketDesc &pkt)
 {
     if (injectFault(FaultKind::StreamBeatDrop, name(), now())) {
-        stats_.counter("fault_drops").inc();
+        faultDrops_.inc();
         return;
     }
     PacketDesc p = pkt;
     if (injectFault(FaultKind::StreamBitFlip, name(), now())) {
         p.fcsError = true;
-        stats_.counter("fault_corruptions").inc();
+        faultCorruptions_.inc();
     }
     egress_.push(p, now() + addedLatency());
     egressFlight_.push_back(
         {now(), Trace::instance().beginSpan(now(), name(), "egress",
                                             "wrapper")});
-    stats_.counter("egress_packets").inc();
-    stats_.counter("egress_bytes").inc(p.bytes);
+    egressPackets_.inc();
+    egressBytes_.inc(p.bytes);
 }
 
 bool

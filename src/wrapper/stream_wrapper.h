@@ -99,6 +99,12 @@ class StreamWrapper : public Component {
     Histogram egressLat_;
     ResourceVector resources_;
     StatGroup stats_;
+    CounterHandle faultDrops_{stats_, "fault_drops"};
+    CounterHandle faultCorruptions_{stats_, "fault_corruptions"};
+    CounterHandle ingressPackets_{stats_, "ingress_packets"};
+    CounterHandle ingressBytes_{stats_, "ingress_bytes"};
+    CounterHandle egressPackets_{stats_, "egress_packets"};
+    CounterHandle egressBytes_{stats_, "egress_bytes"};
     ScopedMetrics telemetry_;
 };
 

@@ -1,5 +1,6 @@
-// Fixture: RNG in ticked code (DET-001) and unordered iteration in
-// ticked code (DET-002).
+// Fixture: RNG in ticked code (DET-001), unordered iteration in
+// ticked code (DET-002), and string work on the tick path: a
+// string-keyed counter lookup and a format() span argument (HOT-002).
 #include "sim/ticker.h"
 
 #include <cstdlib>
@@ -10,4 +11,8 @@ Ticker::tick()
     const int jitter = rand();
     for (auto &kv : table_)
         kv.second += jitter;
+    stats_.counter("ticks").inc();
+    const SpanId span = tracer_.beginSpan(
+        now_, format("ticker%d", id_), "tick");
+    tracer_.endSpan(span, now_);
 }

@@ -10,6 +10,10 @@ class Ticker {
 
   private:
     std::unordered_map<int, int> table_;
+    StatGroup stats_;
+    Trace &tracer_;
+    Tick now_ = 0;
+    int id_ = 0;
 };
 
 #endif // BADREPO_SIM_TICKER_H_

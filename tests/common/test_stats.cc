@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "common/logging.h"
 #include "common/stats.h"
 
@@ -155,6 +157,49 @@ TEST(StatGroup, ResetAll)
     g.resetAll();
     EXPECT_EQ(g.value("a"), 0u);
     EXPECT_EQ(g.value("b"), 0u);
+}
+
+// A handle must not be copied (or moved) away from the group its
+// cached pointer lives in.
+static_assert(!std::is_copy_constructible_v<CounterHandle>);
+static_assert(!std::is_copy_assignable_v<CounterHandle>);
+static_assert(!std::is_move_constructible_v<CounterHandle>);
+
+TEST(CounterHandle, ResolvesLazilyOnFirstUse)
+{
+    StatGroup g("mod");
+    CounterHandle h(g, "rx_packets");
+    EXPECT_TRUE(g.snapshot().empty());
+    h.inc();
+    h.inc(2);
+    const auto snap = g.snapshot();
+    ASSERT_EQ(snap.size(), 1u);
+    EXPECT_EQ(snap[0].first, "rx_packets");
+    EXPECT_EQ(snap[0].second, 3u);
+}
+
+TEST(CounterHandle, AliasesNamedCounterAcrossResetAll)
+{
+    StatGroup g("mod");
+    g.counter("bytes").inc(5);
+    CounterHandle h(g, "bytes");
+    EXPECT_EQ(h.get().value(), 5u);  // binds to the existing counter
+    EXPECT_EQ(&h.get(), &g.counter("bytes"));
+    h.inc(10);
+    g.counter("bytes").inc(1);
+    EXPECT_EQ(g.value("bytes"), 16u);
+    EXPECT_EQ(h.get().value(), 16u);
+
+    // Later counters joining the map leave this one's node in place,
+    // and resetAll() zeroes it without unbinding the handle.
+    for (int i = 0; i < 64; ++i)
+        g.counter(format("c%02d", i)).inc();
+    g.resetAll();
+    EXPECT_EQ(h.get().value(), 0u);
+    h.inc(7);
+    EXPECT_EQ(g.value("bytes"), 7u);
+    EXPECT_EQ(&h.get(), &g.counter("bytes"));
+    EXPECT_EQ(g.snapshot().size(), 65u);
 }
 
 } // namespace

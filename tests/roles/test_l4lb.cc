@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
 #include "common/logging.h"
+#include "host/cmd_driver.h"
 #include "roles/l4lb.h"
+#include "telemetry/metrics_registry.h"
+#include "workload/flow_gen.h"
 
 namespace harmonia {
 namespace {
@@ -109,6 +113,49 @@ TEST(Layer4Lb, DatapathForwardsAcrossPorts)
     EXPECT_EQ(role.stats().value("forwarded_packets"), 8u);
     EXPECT_EQ(shell->network(1).monitor().value("tx_packets"), 8u);
     EXPECT_EQ(role.connectionCount(), 8u);
+}
+
+TEST(Layer4Lb, TailoredShellRegistrySeriesStayPinned)
+{
+    // Counters resolve lazily, on their first increment: a counter no
+    // event has touched must stay out of the registry. The name set a
+    // seeded burst leaves behind is pinned (the values of the
+    // string-keyed lookups the handles replaced), so a counter that
+    // starts resolving eagerly or late moves the count or the hash.
+    MetricsRegistry reg;  // outlives every registration below
+    Engine engine;
+    auto shell = Shell::makeTailored(
+        engine, DeviceDatabase::instance().byName("DeviceB"),
+        Layer4Lb::standardRequirements());
+    Layer4Lb role(64);
+    role.bind(engine, *shell);
+    shell->registerTelemetry(reg);
+    CmdDriver driver(engine, *shell);
+    driver.registerTelemetry(reg, "host/cmd01");
+    driver.initializeAll();
+
+    FlowGenConfig cfg;
+    cfg.seed = 11;
+    cfg.concurrentFlows = 64;
+    cfg.packetsPerFlow = 8;
+    cfg.packetBytes = 256;
+    FlowGenerator gen(cfg);
+    Tick at = engine.now();
+    for (int i = 0; i < 512; ++i) {
+        PacketDesc p = gen.next(at).packet;
+        shell->network(0).mac().injectRx(p, at);
+        at += wireTime(p.bytes, 100e9);
+    }
+    engine.runFor(at - engine.now() + 1'000'000);
+    driver.collectAllStats();
+    ASSERT_GT(role.stats().value("forwarded_packets"), 0u);
+
+    Fnv1a64 names;
+    const std::vector<ScalarSeries> series = reg.scalarSeries();
+    for (const ScalarSeries &s : series)
+        names.str(s.name);
+    EXPECT_EQ(series.size(), 56u);
+    EXPECT_EQ(names.value(), 0x50983c090fe85a50ULL);
 }
 
 } // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <string_view>
 
 #include "cmd/control_kernel.h"
 #include "common/logging.h"
@@ -126,6 +128,54 @@ TEST(Trace, SpansFreeWhenDisabled)
     Trace::instance().completeSpan(1, 2, "a", "b");
     EXPECT_EQ(Trace::instance().spanCount(), 0u);
     EXPECT_EQ(Trace::instance().openSpanCount(), 0u);
+}
+
+TEST(Trace, SpanViewsCostNothingOffAndAreCopiedOn)
+{
+    TraceGuard guard;
+    Trace &t = Trace::instance();
+    // Views into a buffer that changes after the call: the span must
+    // keep its own copy, cut at the view's length (no terminator).
+    std::string buf = "wrap0|ingress|wrapper";
+    const std::string_view who = std::string_view(buf).substr(0, 5);
+    const std::string_view what = std::string_view(buf).substr(6, 7);
+    const std::string_view cat = std::string_view(buf).substr(14);
+
+    // Off: nothing is stored or counted, even with the open table full.
+    t.setMaxOpenSpans(1);
+    const SpanId held = t.beginSpan(1, "x", "held");
+    ASSERT_NE(held, 0u);
+    t.setEnabled(false);
+    const TraceContext ctx{held, 9};
+    EXPECT_EQ(t.beginSpan(2, who, what, cat), 0u);
+    EXPECT_EQ(t.beginSpan(2, who, what, cat, ctx), 0u);
+    t.completeSpan(2, 3, who, what, cat);
+    t.completeSpan(2, 3, who, what, cat, ctx);
+    t.record(2, who, what);
+    EXPECT_EQ(t.spanCount(), 0u);
+    EXPECT_EQ(t.openSpanCount(), 1u);
+    EXPECT_EQ(t.droppedOpens(), 0u);
+    EXPECT_EQ(t.size(), 0u);
+    t.setMaxOpenSpans(Trace::kMaxOpenSpans);
+
+    // On: who, what and cat round-trip through both span kinds.
+    t.clear();
+    t.setEnabled(true);
+    const SpanId id = t.beginSpan(10, who, what, cat);
+    t.completeSpan(20, 30, who, what, cat);
+    t.record(40, who, what);
+    buf.assign(buf.size(), '#');
+    t.endSpan(id, 15);
+    const auto all = t.spans();
+    ASSERT_EQ(all.size(), 2u);
+    for (const Trace::Span &s : all) {
+        EXPECT_EQ(s.who, "wrap0");
+        EXPECT_EQ(s.what, "ingress");
+        EXPECT_EQ(s.cat, "wrapper");
+    }
+    ASSERT_EQ(t.entries().size(), 1u);
+    EXPECT_EQ(t.entries()[0].who, "wrap0");
+    EXPECT_EQ(t.entries()[0].what, "ingress");
 }
 
 TEST(Trace, CompleteSpanRecordsPreMeasuredInterval)
