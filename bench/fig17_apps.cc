@@ -7,6 +7,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 
 #include "bench_report.h"
@@ -24,10 +25,73 @@ namespace {
 struct PerfPoint {
     double gbps = 0;
     double latencyUs = 0;
+    /// Every packet the sink got, the unmeasured tail included.
+    std::uint64_t delivered = 0;
 };
 
 /** A packet decision: returns true to forward (possibly mutating). */
 using Decision = std::function<bool(PacketDesc &)>;
+
+/** Give up on the rest of a run after this much simulated time. */
+constexpr Tick kRunLimit = 2'000'000'000;
+
+/**
+ * Measure @p packets already injected toward @p sink: throughput and
+ * mean latency over the first 95% of arrivals, then the rest drained
+ * unmeasured until @p all_in says every forwarded packet has arrived
+ * (or kRunLimit passes), for the conservation check.
+ */
+PerfPoint
+measure(Engine &engine, MacIp &sink, unsigned packets,
+        const std::function<bool(std::uint64_t)> &all_in)
+{
+    PerfPoint p;
+    std::uint64_t lat = 0, bytes = 0;
+    const Tick start = engine.now();
+    engine.runUntilDone(
+        [&] {
+            while (sink.rxAvailable()) {
+                const PacketDesc pkt = sink.rxPop();
+                lat += engine.now() - pkt.injected;
+                bytes += pkt.bytes;
+                ++p.delivered;
+            }
+            return p.delivered >= packets * 95 / 100;
+        },
+        kRunLimit);
+    const double s =
+        static_cast<double>(engine.now() - start) / kTicksPerSecond;
+    if (p.delivered != 0) {
+        p.gbps = bytes * 8.0 / s / 1e9;
+        p.latencyUs = lat / 1e6 / p.delivered;
+    }
+    engine.runUntilDone(
+        [&] {
+            for (; sink.rxAvailable(); sink.rxPop())
+                ++p.delivered;
+            return all_in(p.delivered);
+        },
+        kRunLimit);
+    return p;
+}
+
+/** Exit non-zero, before any number of the run is printed, when @p
+ *  path delivered a packet count other than @p expected. */
+void
+checkConservation(const char *path, std::uint32_t pkt_bytes,
+                  unsigned injected, std::uint64_t expected,
+                  std::uint64_t delivered)
+{
+    if (delivered == expected)
+        return;
+    std::fprintf(stderr,
+                 "fig17: %s path at %u B delivered %llu of %u injected "
+                 "packets, %llu forwarded by the decision\n",
+                 path, pkt_bytes,
+                 static_cast<unsigned long long>(delivered), injected,
+                 static_cast<unsigned long long>(expected));
+    std::exit(1);
+}
 
 /**
  * Native BITW path: raw MAC -> inline role decision -> raw MAC, with
@@ -35,7 +99,7 @@ using Decision = std::function<bool(PacketDesc &)>;
  */
 PerfPoint
 nativeBitw(const Decision &decide, std::uint32_t pkt_bytes,
-           unsigned packets)
+           unsigned packets, std::uint64_t &forwarded)
 {
     Engine engine;
     Clock *clk = engine.addClock("clk", MacIp::clockMhzFor(100));
@@ -44,12 +108,14 @@ nativeBitw(const Decision &decide, std::uint32_t pkt_bytes,
     XilinxCmac sink(100, "sink");
     out_mac.connectPeer(&sink);
 
-    std::uint64_t got = 0, lat = 0, bytes = 0;
+    std::uint64_t dropped = 0;
     FunctionComponent role("native_role", [&] {
         while (in_mac.rxAvailable() && out_mac.txReady()) {
             PacketDesc pkt = in_mac.rxPop();
             if (decide(pkt))
                 out_mac.txPush(pkt);
+            else
+                ++dropped;
         }
     });
     engine.add(&role, clk);
@@ -66,30 +132,23 @@ nativeBitw(const Decision &decide, std::uint32_t pkt_bytes,
         pkt.injected = engine.now() + i * wire;
         in_mac.injectRx(pkt, pkt.injected);
     }
-    const Tick start = engine.now();
-    engine.runUntilDone(
-        [&] {
-            while (sink.rxAvailable()) {
-                const PacketDesc pkt = sink.rxPop();
-                lat += engine.now() - pkt.injected;
-                bytes += pkt.bytes;
-                ++got;
-            }
-            return got >= packets * 95 / 100;
-        },
-        2'000'000'000);
-    const double s =
-        static_cast<double>(engine.now() - start) / kTicksPerSecond;
-    if (got == 0)
-        return {};
-    return {bytes * 8.0 / s / 1e9, lat / 1e6 / got};
+    const PerfPoint p =
+        measure(engine, sink, packets, [&](std::uint64_t delivered) {
+            return delivered + dropped >= packets;
+        });
+    forwarded = packets - dropped;
+    checkConservation("native", pkt_bytes, packets, forwarded,
+                      p.delivered);
+    return p;
 }
 
-/** Harmonia BITW path: tailored shell + bound role + sink MAC. */
+/** Harmonia BITW path: tailored shell + bound role + sink MAC. The
+ *  role decides as the native path does, so it must deliver the
+ *  @p forwarded packets the native decision forwarded. */
 PerfPoint
 harmoniaBitw(Role &role, const RoleRequirements &reqs,
              const char *device_name, std::uint32_t pkt_bytes,
-             unsigned packets)
+             unsigned packets, std::uint64_t forwarded)
 {
     Engine engine;
     auto shell = Shell::makeTailored(
@@ -114,24 +173,13 @@ harmoniaBitw(Role &role, const RoleRequirements &reqs,
         pkt.injected = engine.now() + i * wire;
         rx_port.mac().injectRx(pkt, pkt.injected);
     }
-    std::uint64_t got = 0, lat = 0, bytes = 0;
-    const Tick start = engine.now();
-    engine.runUntilDone(
-        [&] {
-            while (sink.rxAvailable()) {
-                const PacketDesc pkt = sink.rxPop();
-                lat += engine.now() - pkt.injected;
-                bytes += pkt.bytes;
-                ++got;
-            }
-            return got >= packets * 95 / 100;
-        },
-        2'000'000'000);
-    const double s =
-        static_cast<double>(engine.now() - start) / kTicksPerSecond;
-    if (got == 0)
-        return {};
-    return {bytes * 8.0 / s / 1e9, lat / 1e6 / got};
+    const PerfPoint p =
+        measure(engine, sink, packets, [&](std::uint64_t delivered) {
+            return delivered >= forwarded;
+        });
+    checkConservation("harmonia", pkt_bytes, packets, forwarded,
+                      p.delivered);
+    return p;
 }
 
 void
@@ -151,10 +199,12 @@ bitwTable(const char *title, const Decision &native_decision,
     const unsigned packets =
         static_cast<unsigned>(scaledIters(1500, 200));
     for (std::uint32_t size : {64u, 128u, 256u, 512u, 1024u}) {
-        const PerfPoint n = nativeBitw(native_decision, size, packets);
+        std::uint64_t forwarded = 0;
+        const PerfPoint n =
+            nativeBitw(native_decision, size, packets, forwarded);
         auto role = make_role();
-        const PerfPoint h =
-            harmoniaBitw(*role, reqs, device_name, size, packets);
+        const PerfPoint h = harmoniaBitw(*role, reqs, device_name, size,
+                                         packets, forwarded);
         const double added_ns = (h.latencyUs - n.latencyUs) * 1e3;
         table.addRow(
             {std::to_string(size), format("%.1f", n.gbps),

@@ -6,8 +6,6 @@ namespace harmonia {
 
 namespace {
 
-FaultPlan *gArmed = nullptr;
-
 // splitmix64: seeds the per-rule streams so adding a rule never
 // perturbs the draws of the rules before it.
 std::uint64_t
@@ -196,20 +194,14 @@ FaultPlan::registerTelemetry(MetricsRegistry &reg,
 void
 FaultPlan::arm()
 {
-    gArmed = this;
+    armed_ = this;
 }
 
 void
 FaultPlan::disarm()
 {
-    if (gArmed == this)
-        gArmed = nullptr;
-}
-
-FaultPlan *
-FaultPlan::active()
-{
-    return gArmed;
+    if (armed_ == this)
+        armed_ = nullptr;
 }
 
 } // namespace harmonia

@@ -62,7 +62,6 @@ SchedulerDrill::SchedulerDrill(SchedulerDrillConfig config)
 {
     if (cfg_.victimCard >= 8)
         fatal("victim card %zu out of range", cfg_.victimCard);
-    engine_.setIdleFastForward(true);
     fleet_ = std::make_unique<FleetManager>(engine_, rackSpecs());
     hub_ = std::make_unique<ObsHub>(engine_);
     for (std::size_t i = 0; i < fleet_->cardCount(); ++i)

@@ -5,6 +5,7 @@
 #include "common/logging.h"
 #include "fault/fault_plan.h"  // harmonia-lint: allow(LAYER-002) fault-injection hooks in vendor IP
 #include "sim/clock.h"
+#include "sim/engine.h"
 
 namespace harmonia {
 
@@ -56,6 +57,16 @@ MacIp::rxPop()
 }
 
 void
+MacIp::connectPeer(MacIp *peer)
+{
+    peer_ = peer;
+    Engine *e = engine();
+    if (peer != nullptr && e != nullptr && peer->engine() == e &&
+        peer->clock() != clock())
+        e->fuseClocks(clock(), peer->clock());
+}
+
+void
 MacIp::injectRx(const PacketDesc &pkt, Tick when)
 {
     arrive(pkt, when);
@@ -64,6 +75,7 @@ MacIp::injectRx(const PacketDesc &pkt, Tick when)
 void
 MacIp::arrive(const PacketDesc &pkt, Tick when)
 {
+    noteMutation();
     auto it = std::upper_bound(
         inFlight_.begin(), inFlight_.end(), when,
         [](Tick t, const auto &e) { return t < e.first; });

@@ -45,12 +45,18 @@ class MacIp : public IpBlock {
     /** Loop TX back into local RX (QSFP loopback test). */
     void setLoopback(bool on) { loopback_ = on; }
 
-    /** Connect the line side to a peer MAC (two-server setup). */
-    void connectPeer(MacIp *peer) { peer_ = peer; }
+    /**
+     * Connect the line side to a peer MAC (two-server setup). TX hands
+     * each packet to the peer by a direct call, so when both ends are
+     * registered on one engine on different clocks their clocks are
+     * fused into one concurrency group: register both ends first.
+     */
+    void connectPeer(MacIp *peer);
 
     /**
      * Line-side packet arrival: what a switch port would deliver.
-     * Traffic generators and testbenches source RX traffic with this.
+     * Traffic generators and testbenches source RX traffic with this;
+     * from a runUntilDone predicate too (it notes the mutation).
      */
     void injectRx(const PacketDesc &pkt, Tick when);
 

@@ -8,12 +8,6 @@ Component::Component(std::string name) : name_(std::move(name))
 {
 }
 
-Tick
-Component::now() const
-{
-    return engine_ ? engine_->now() : 0;
-}
-
 Cycles
 Component::cycle() const
 {

@@ -64,7 +64,7 @@ class Component {
     Engine *engine() const { return engine_; }
 
     /** Current simulated time; 0 until registered. */
-    Tick now() const;
+    Tick now() const { return *engineNow_; }
 
     /** Current cycle of this component's clock; 0 until registered. */
     Cycles cycle() const;
@@ -129,6 +129,9 @@ class Component {
 
     static constexpr std::size_t kNoDomain = ~std::size_t{0};
 
+    /// What now() reads while unregistered.
+    static constexpr Tick kUnregisteredNow = 0;
+
     /// The tick cursor (edgePending): index of the domain a
     /// fast-forward edge is ticking on this thread, else kNoDomain.
     inline static thread_local std::size_t tickingDomain_ = kNoDomain;
@@ -140,6 +143,8 @@ class Component {
     std::string name_;
     Clock *clock_ = nullptr;
     Engine *engine_ = nullptr;
+    /// The owning engine's time (Engine::add), read inline by now().
+    const Tick *engineNow_ = &kUnregisteredNow;
     std::size_t auditGroup_ = OwnershipAuditor::kNoGroup;
     std::size_t domain_ = 0;  ///< engine domain index (Engine::add)
     Tick registeredAt_ = 0;

@@ -13,27 +13,28 @@ namespace harmonia {
 
 Engine::Engine()
 {
-    const unsigned n = envThreads();
-    if (n >= 1) {
-        threads_ = n;
-        parallel_ = n > 1;
-        fastForward_ = true;
+    // Unset and 1 keep the default, serial fast-forward; n > 1 adds n
+    // threads; 0 selects the tick-by-tick reference schedule.
+    if (const std::optional<unsigned> n = envThreads()) {
+        threads_ = std::max(1u, *n);
+        parallel_ = *n > 1;
+        fastForward_ = *n != 0;
     }
     audit_ = OwnershipAuditor::envEnabled();
 }
 
 Engine::~Engine() { stopWorkers(); }
 
-unsigned
+std::optional<unsigned>
 Engine::envThreads()
 {
     const char *env = std::getenv("HARMONIA_SIM_THREADS");
     if (env == nullptr || *env == '\0')
-        return 0;
+        return std::nullopt;
     char *end = nullptr;
     const unsigned long n = std::strtoul(env, &end, 10);
     if (end == env || *end != '\0')
-        return 0;
+        return std::nullopt;
     return static_cast<unsigned>(n);
 }
 
@@ -111,6 +112,7 @@ Engine::add(Component *c, Clock *clk)
     if (c->engine_ != nullptr)
         fatal("component '%s' is already registered", c->name().c_str());
     c->engine_ = this;
+    c->engineNow_ = &now_;
     c->clock_ = clk;
     c->domain_ = static_cast<std::size_t>(d - domains_.data());
     c->registeredAt_ = now_;
@@ -133,6 +135,7 @@ Engine::remove(Component *c)
     comps.erase(std::remove(comps.begin(), comps.end(), c),
                 comps.end());
     c->engine_ = nullptr;
+    c->engineNow_ = &Component::kUnregisteredNow;
     c->clock_ = nullptr;
     groupsDirty_ = layoutDirty_ = true;
 }
@@ -248,21 +251,25 @@ Engine::commitDomains(Walk &walk, Tick next)
     // domains tick concurrently). A domain whose cached edge is still
     // ahead has no edge in between, so its count already holds.
     fired_.clear();
+    Tick walk_next = kTickMax;
     for (auto &entry : walk) {
         Domain &d = domainAt(domains_, entry);
-        if (d.synced && d.edge > now_)
-            continue;
-        if (d.synced && d.edge == now_) {
+        bool fires = true;
+        if (d.synced && d.edge > now_) {
+            fires = false;
+        } else if (d.synced && d.edge == now_) {
             d.clock->advance();
             d.edge += d.clock->period();
         } else {
             // Fast-forward jumped some of its edges, or it was added
             // mid-run and lands for the first time.
             syncDomain(d);
-            if (d.clock->cyclesToTicks(d.clock->cycle()) != now_)
-                continue;
+            fires = d.clock->cyclesToTicks(d.clock->cycle()) == now_;
         }
-        fired_.push_back(&d);
+        if constexpr (SkipIdle)
+            walk_next = std::min(walk_next, d.edge);
+        if (fires)
+            fired_.push_back(&d);
     }
 
     if (!(parallel_ && threads_ > 1 && fired_.size() > 1 &&
@@ -272,6 +279,17 @@ Engine::commitDomains(Walk &walk, Tick next)
         // Serial reference schedule: creation order across domains.
         for (Domain *d : fired_)
             tickDomain(*d, SkipIdle);
+    }
+    if constexpr (SkipIdle) {
+        // Fold the fired domains' reports into their groups here, on
+        // the committing thread: workers write only their domains.
+        if (!layoutDirty_) {
+            for (Domain *d : fired_)
+                groups_[d->slot].ticked = false;
+            for (Domain *d : fired_)
+                groups_[d->slot].ticked |= d->ticked;
+        }
+        walkNext_ = walk_next;
     }
     committing_ = false;
 }
@@ -324,9 +342,13 @@ Engine::tickDomain(Domain &d, bool skip_idle)
         // component ticks, which Component::edgePending() relies on.
         Component::tickingDomain_ =
             static_cast<std::size_t>(&d - domains_.data());
+        bool ticked = false;
         for (Component *c : d.components)
-            if (!c->idle())
+            if (!c->idle()) {
                 c->tick();
+                ticked = true;
+            }
+        d.ticked = ticked;
         Component::tickingDomain_ = Component::kNoDomain;
     } else {
         for (Component *c : d.components)
@@ -354,11 +376,13 @@ Engine::hintEdge()
 }
 
 inline Tick
-Engine::scanGroup(const Group &g, Tick best, bool &active) const
+Engine::scanGroup(Group &g, Tick best, bool &active)
 {
     Tick cand = kTickMax;
+    Tick first = kTickMax;
     for (std::size_t di : g.domains) {
         const Domain &d = domains_[di];
+        first = std::min(first, d.edge);
         // No domain needs an edge before its next one. Once the group
         // is known busy (so stays awake), a domain whose next edge
         // cannot beat the best so far is not asked.
@@ -381,6 +405,7 @@ Engine::scanGroup(const Group &g, Tick best, bool &active) const
                                       now_, wake == 0 ? 0 : wake - 1)));
         }
     }
+    g.jumped = cand != first;
     return cand;
 }
 
@@ -393,14 +418,34 @@ Engine::nextEventEdge()
         wakeAll();
     hostInput_ = false;
     Tick next = events_.empty() ? kTickMax : hintEdge();
+    // After an edge on which a group ticked, its next edge is taken
+    // unasked, until one taken that way ticks nothing; then it is
+    // scanned, until a scan cannot jump.
+    bool unasked = false;
     for (std::size_t i = 0; i < awake_.size();) {
+        Group &g = groups_[awake_[i]];
+        if (g.ticked && !g.jumped) {
+            unasked = true;
+            ++i;
+            continue;
+        }
         bool active = false;
-        const Tick cand = scanGroup(groups_[awake_[i]], next, active);
+        const Tick cand = scanGroup(g, next, active);
         next = std::min(next, cand);
         if (active)
             ++i;
         else
             sleepGroup(i, cand);  // every component idle
+    }
+    if (unasked) {
+        // An unasked group has been walked since it last woke, so its
+        // domains' next edges are all at or after walkNext_.
+        if (walkNext_ <= now_) {
+            walkNext_ = kTickMax;
+            for (std::size_t di : walk_)
+                walkNext_ = std::min(walkNext_, domains_[di].edge);
+        }
+        next = std::min(next, walkNext_);
     }
     while (!dormantHeap_.empty()) {
         const auto [wake, gi] = dormantHeap_.top();
@@ -446,6 +491,7 @@ Engine::wakeGroup(std::size_t gi)
 {
     Group &g = groups_[gi];
     g.dormant = false;
+    g.ticked = false;  // not walked since: scanned first
     --dormantCount_;
     awake_.push_back(gi);
     for (std::size_t di : g.domains) {
@@ -488,6 +534,7 @@ Engine::wakeAll()
     awake_.clear();
     for (std::size_t g = 0; g < groups_.size(); ++g) {
         groups_[g].dormant = false;
+        groups_[g].ticked = false;
         awake_.push_back(g);
     }
     dormantHeap_ = {};
@@ -512,6 +559,7 @@ Engine::rebuildGroups()
             groups_.emplace_back();
         }
         groups_[slot[root]].domains.push_back(i);
+        domains_[i].slot = slot[root];
     }
     awake_.clear();
     for (std::size_t g = 0; g < groups_.size(); ++g)

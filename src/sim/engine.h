@@ -7,8 +7,8 @@
  * simulated time in which every component reports quiescence and
  * leaves a concurrency group whose components are all idle dormant
  * until its wake edge. Both modes are bit-identical to the serial
- * reference schedule; serial is the default, HARMONIA_SIM_THREADS
- * opts in.
+ * tick-by-tick reference schedule. Serial fast-forward is the default;
+ * HARMONIA_SIM_THREADS=n adds n threads, and 0 selects the reference.
  */
 
 #ifndef HARMONIA_SIM_ENGINE_H_
@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <string>
 #include <thread>
@@ -48,12 +49,18 @@ namespace harmonia {
  * sequential state), so those runs are trivially schedule-independent.
  *
  * Idle fast-forward (skipping idle components, jumping over edges on
- * which nothing would tick) stays on under an armed fault plan unless
+ * which nothing would tick) is the default schedule; the tick-by-tick
+ * schedule (setIdleFastForward(false)) is the reference it must match,
+ * bit for bit. It stays on under an armed fault plan unless
  * the plan holds a live rule of a kind some tick() queries
  * (FaultPlan::tickRuleLive): host-plane rules (isHostPlane) are only
  * queried between edges, so a DeviceDeath or CmdDrop window never
  * slows the edge loop, while a live LinkFlap window keeps every
  * component ticking on every edge until it closes.
+ *
+ * The loop asks components only when it can jump: a group whose last
+ * edge ticked a component takes its next edge unasked, and only a
+ * group whose last edge ticked nothing is scanned (nextEventEdge).
  *
  * Under fast-forward the concurrency group is the unit of dormancy:
  * a group whose components all report idle is cached in a min-heap
@@ -140,8 +147,9 @@ class Engine {
     void setThreads(unsigned n);
     unsigned threads() const { return threads_; }
 
-    /** Enable/disable the idle fast-forward path (default off). An
-     *  armed plan's live tick-queried rules suspend it (class comment). */
+    /** Enable/disable the idle fast-forward path (default on; false
+     *  is the tick-by-tick reference schedule). An armed plan's live
+     *  tick-queried rules suspend it (class comment). */
     void setIdleFastForward(bool on) { fastForward_ = on; }
     bool idleFastForward() const { return fastForward_; }
 
@@ -153,8 +161,8 @@ class Engine {
      */
     void scheduleEvent(Tick t);
 
-    /** HARMONIA_SIM_THREADS value; 0 when unset or malformed. */
-    static unsigned envThreads();
+    /** HARMONIA_SIM_THREADS value; nullopt when unset or malformed. */
+    static std::optional<unsigned> envThreads();
 
     /**
      * Enable/disable the dynamic ownership auditor (sim/ownership.h):
@@ -182,6 +190,11 @@ class Engine {
         bool dormant = false;
         /// Listed in walk_.
         bool walked = true;
+        /// Some component ticked on its last fast-forward edge. Written
+        /// only by the thread ticking the domain; folded into its group
+        /// after the edge.
+        bool ticked = false;
+        std::size_t slot = 0;  ///< its group's index in groups_
         std::vector<Component *> components;
         std::size_t group = 0;  ///< union-find parent (domain index)
         /// Resolved group root, refreshed as parallel edges are
@@ -196,6 +209,10 @@ class Engine {
         /// While dormant: the first edge at which it must be walked
         /// again (kTickMax: only the next run call's rescan).
         Tick wake = kTickMax;
+        /// Its last fast-forward edge ticked a component.
+        bool ticked = false;
+        /// Its last scan jumped over an edge of one of its domains.
+        bool jumped = false;
     };
 
     /** (wake edge, group index), earliest first. */
@@ -209,9 +226,12 @@ class Engine {
     Tick nextEdge() const;
 
     /** Earliest edge that must run, honoring idleness; kTickMax when
-     *  every component is dormant with no wake and no hint. Caches
-     *  every all-idle group it scans as dormant, and stops asking a
-     *  busy group's domains whose next edge cannot win. */
+     *  every component is dormant with no wake and no hint. After an
+     *  edge on which a group ticked, and unless its last scan jumped,
+     *  the group is busy unasked: it bounds the result by walkNext_
+     *  (committing an edge the scan would skip is safe; skipping one it
+     *  would pick is not). The other groups are scanned (scanGroup),
+     *  and every all-idle one is cached as dormant. */
     Tick nextEventEdge();
 
     /** Cache awake_[@p slot], all idle, as dormant until @p wake:
@@ -274,8 +294,9 @@ class Engine {
 
     /** Scan @p g: its earliest needed edge, setting @p active when a
      *  component is busy; once it is, domains whose next edge cannot
-     *  beat @p best or the group's own candidate are not asked. */
-    Tick scanGroup(const Group &g, Tick best, bool &active) const;
+     *  beat @p best or the group's own candidate are not asked. Notes
+     *  whether the scan jumped over one of the group's edges. */
+    Tick scanGroup(Group &g, Tick best, bool &active);
 
     /** Re-derive groups_ from the union-find (layout changed). */
     void rebuildGroups();
@@ -316,6 +337,9 @@ class Engine {
         events_;
     Tick hintTick_ = 0;  ///< hint hintEdge_ was computed for (0: none)
     Tick hintEdge_ = kTickMax;
+    /// Earliest next edge of the domains the last fast-forward edge
+    /// walked; stale once now_ reaches it (nextEventEdge).
+    Tick walkNext_ = 0;
 
     // Fast-forward dormancy cache (see the class comment).
     std::vector<Group> groups_;
@@ -333,7 +357,7 @@ class Engine {
     bool hostInput_ = false;   ///< noteMutation() from a predicate
 
     bool parallel_ = false;
-    bool fastForward_ = false;
+    bool fastForward_ = true;
     unsigned threads_ = 1;
     bool audit_ = false;
     bool groupsDirty_ = true;  ///< component/fuse change since stamp

@@ -136,11 +136,20 @@ MetricsRegistry::clear()
 }
 
 std::vector<MetricSample>
-MetricsRegistry::snapshot() const
+MetricsRegistry::snapshot(const std::string &prefix) const
 {
+    // An entry's samples are named e.name (a group's: e.name + "/"
+    // + counter), so one whose name and the prefix differ within
+    // their common length holds none that starts with the prefix.
+    const auto outside = [&prefix](const std::string &name) {
+        const std::size_t n = std::min(name.size(), prefix.size());
+        return name.compare(0, n, prefix, 0, n) != 0;
+    };
     std::vector<MetricSample> out;
     out.reserve(entries_.size());
     for (const auto &[id, e] : entries_) {
+        if (outside(e.name))
+            continue;
         if (e.group != nullptr) {
             for (const auto &[counter_name, value] :
                  e.group->snapshot()) {
@@ -177,6 +186,9 @@ MetricsRegistry::snapshot() const
         }
         out.push_back(std::move(s));
     }
+    std::erase_if(out, [&prefix](const MetricSample &s) {
+        return s.name.compare(0, prefix.size(), prefix) != 0;
+    });
     std::sort(out.begin(), out.end(),
               [](const MetricSample &a, const MetricSample &b) {
                   return a.name < b.name;
@@ -188,9 +200,7 @@ std::vector<ScalarSeries>
 MetricsRegistry::scalarSeries(const std::string &prefix) const
 {
     std::vector<ScalarSeries> out;
-    for (const MetricSample &s : snapshot()) {
-        if (s.name.compare(0, prefix.size(), prefix) != 0)
-            continue;
+    for (const MetricSample &s : snapshot(prefix)) {
         // A histogram's value is its count: exact, like a counter's.
         const bool histogram = s.kind == MetricKind::Histogram;
         out.push_back(

@@ -98,15 +98,19 @@ class MetricsRegistry {
 
     /**
      * Snapshot every metric, StatGroups expanded, sorted by name (the
-     * exporters' input; histograms carry their full summary).
+     * exporters' input; histograms carry their full summary). Only
+     * names starting with @p prefix (all when empty); an entry that
+     * cannot hold one is not read at all.
      */
-    std::vector<MetricSample> snapshot() const;
+    std::vector<MetricSample> snapshot(const std::string &prefix = "") const;
 
     /**
      * The snapshot flattened into scalar series: counters, gauges and
      * rates keep their name and value; a histogram becomes `name`
      * (its count), `name/p50` and `name/p99`. Only names starting
-     * with @p prefix (all when empty), name-sorted.
+     * with @p prefix (all when empty), name-sorted. Reads no entry
+     * outside the prefix, so a card's ObsDelta on a parallel edge
+     * touches no other card's counters.
      */
     std::vector<ScalarSeries>
     scalarSeries(const std::string &prefix = "") const;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/logging.h"
 #include "ip/mac_ip.h"
 #include "sim/engine.h"
@@ -104,6 +106,54 @@ TEST(MacIp, PeerLinkDelivers)
     ASSERT_TRUE(engine.runUntilDone([&] { return c.rxAvailable(); },
                                     10'000'000));
     EXPECT_EQ(c.rxPop().id, 77u);
+}
+
+/**
+ * A sink MAC on its own clock behind connectPeer: the link fuses the
+ * two clocks, so under fast-forward the sink's group cannot go dormant
+ * while the sender hands it packets. Every packet arrives, at the same
+ * edge as tick by tick.
+ */
+TEST(MacIp, PeerLinkAcrossClocksDeliversUnderFastForward)
+{
+    constexpr std::uint64_t kBursts = 5;
+    constexpr std::uint64_t kBurst = 8;
+    std::vector<Tick> arrivals[2];
+    for (const bool fast_forward : {false, true}) {
+        Engine engine;
+        engine.setIdleFastForward(fast_forward);
+        XilinxCmac tx(100, "tx");
+        XilinxCmac sink(100, "sink");
+        engine.add(&tx, engine.addClock("tx_clk", 322.265625));
+        engine.add(&sink, engine.addClock("sink_clk", 250.0));
+        tx.connectPeer(&sink);
+
+        std::vector<Tick> &seen = arrivals[fast_forward];
+        for (std::uint64_t b = 0; b < kBursts; ++b) {
+            // An idle gap first: the sink has nothing to do.
+            engine.runFor(2'000'000);
+            for (std::uint64_t i = 0; i < kBurst; ++i) {
+                PacketDesc pkt;
+                pkt.id = b * kBurst + i;
+                pkt.bytes = 64 + 32 * (pkt.id % 5);
+                ASSERT_TRUE(tx.txReady());
+                tx.txPush(pkt);
+            }
+            const bool done = engine.runUntilDone(
+                [&] {
+                    while (sink.rxAvailable()) {
+                        EXPECT_EQ(sink.rxPop().id, seen.size());
+                        seen.push_back(engine.now());
+                    }
+                    return seen.size() == (b + 1) * kBurst;
+                },
+                1'000'000'000);
+            ASSERT_TRUE(done) << "fast_forward=" << fast_forward
+                              << " burst " << b;
+        }
+        EXPECT_EQ(sink.stats().value("rx_packets"), kBursts * kBurst);
+    }
+    EXPECT_EQ(arrivals[0], arrivals[1]);
 }
 
 TEST(MacIp, RxOverflowDropsAndCounts)

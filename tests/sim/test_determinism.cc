@@ -305,27 +305,39 @@ TEST(Determinism, IndependentGroupsMatchAcrossThreadCounts)
 
 TEST(Determinism, EnvVarSelectsThreadsAndFastForward)
 {
-    setenv("HARMONIA_SIM_THREADS", "4", 1);
-    {
-        Engine engine;
-        EXPECT_EQ(engine.threads(), 4u);
-        EXPECT_TRUE(engine.parallel());
-        EXPECT_TRUE(engine.idleFastForward());
+    // Fast-forward is the default; HARMONIA_SIM_THREADS adds threads,
+    // and 0 selects the tick-by-tick reference schedule.
+    struct Case {
+        const char *value;  ///< nullptr: unset
+        unsigned threads;
+        bool parallel;
+        bool fastForward;
+    };
+    const Case cases[] = {{nullptr, 1, false, true},
+                          {"", 1, false, true},
+                          {"1", 1, false, true},
+                          {"4", 4, true, true},
+                          {"0", 1, false, false},
+                          {"four", 1, false, true}};
+    // Restored afterwards: a CI job may set it for the whole binary.
+    const char *outer = std::getenv("HARMONIA_SIM_THREADS");
+    const bool was_set = outer != nullptr;
+    const std::string saved = was_set ? outer : "";
+    for (const Case &c : cases) {
+        if (c.value == nullptr)
+            unsetenv("HARMONIA_SIM_THREADS");
+        else
+            setenv("HARMONIA_SIM_THREADS", c.value, 1);
+        const Engine engine;
+        const std::string label = c.value ? c.value : "unset";
+        EXPECT_EQ(engine.threads(), c.threads) << label;
+        EXPECT_EQ(engine.parallel(), c.parallel) << label;
+        EXPECT_EQ(engine.idleFastForward(), c.fastForward) << label;
     }
-    setenv("HARMONIA_SIM_THREADS", "1", 1);
-    {
-        Engine engine;
-        EXPECT_EQ(engine.threads(), 1u);
-        EXPECT_FALSE(engine.parallel());
-        EXPECT_TRUE(engine.idleFastForward());
-    }
-    unsetenv("HARMONIA_SIM_THREADS");
-    {
-        Engine engine;
-        EXPECT_EQ(engine.threads(), 1u);
-        EXPECT_FALSE(engine.parallel());
-        EXPECT_FALSE(engine.idleFastForward());
-    }
+    if (was_set)
+        setenv("HARMONIA_SIM_THREADS", saved.c_str(), 1);
+    else
+        unsetenv("HARMONIA_SIM_THREADS");
 }
 
 } // namespace

@@ -12,6 +12,11 @@
  * also check the serial order itself (aimedSensorRead), which two
  * schedules of one build could get wrong together.
  *
+ * On even seeds the tailored card's port feeds a sink MAC on a clock of
+ * its own through connectPeer instead of looping back, and every
+ * arrival is logged with the edge it landed on: the one cross-clock
+ * link between domains that are not a shell's own.
+ *
  * The health monitor is where laziness could leak, so the mix leans
  * on it: SensorRead and ObsDelta reads of the health gauges (some of
  * another card's), some of them timed so the control kernel executes
@@ -119,6 +124,35 @@ class QuietRole : public Role {
     bool idle() const override { return true; }
 };
 
+/** Logs each packet a sink MAC delivers, on the edge it delivers it:
+ *  registered after the sink on the sink's clock. Its own log, since a
+ *  parallel edge may tick it next to another card's alarm irq. */
+class SinkLog : public Component {
+  public:
+    explicit SinkLog(MacIp &sink) : Component("oracle_sink_log"), sink_(sink)
+    {
+    }
+
+    const std::vector<std::string> &lines() const { return lines_; }
+
+    void tick() override
+    {
+        while (sink_.rxAvailable()) {
+            const PacketDesc pkt = sink_.rxPop();
+            lines_.push_back(format(
+                "sink t=%llu flow=%llx bytes=%u",
+                static_cast<unsigned long long>(now()),
+                static_cast<unsigned long long>(pkt.flowHash),
+                pkt.bytes));
+        }
+    }
+    bool idle() const override { return !sink_.rxAvailable(); }
+
+  private:
+    MacIp &sink_;
+    std::vector<std::string> lines_;
+};
+
 /** One card of the rack and the host-side objects that drive it. */
 struct Card {
     std::unique_ptr<Shell> shell;
@@ -162,7 +196,7 @@ words(const std::vector<std::uint32_t> &data)
 class OracleRun {
   public:
     OracleRun(std::uint64_t seed, const Mode &mode)
-        : rng_(seed), plan_(seed + 1)
+        : rng_(seed), plan_(seed + 1), sinkShape_(seed % 2 == 0)
     {
         engine_.setThreads(mode.threads);
         engine_.setParallel(mode.threads > 1);
@@ -204,6 +238,9 @@ class OracleRun {
 
         std::vector<std::string> lines = imageLines(img);
         lines.insert(lines.end(), log_.begin(), log_.end());
+        if (sinkLog_ != nullptr)
+            lines.insert(lines.end(), sinkLog_->lines().begin(),
+                         sinkLog_->lines().end());
         return lines;
     }
 
@@ -231,7 +268,10 @@ class OracleRun {
                     engine_, dev, tailorConfigFor(dev, reqs), name);
             }
             c.shell->registerTelemetry();
-            c.shell->network(0).setLoopback(true);
+            if (sinkShape_ && i == unified)
+                connectSink(c.shell->network(0).mac());
+            else
+                c.shell->network(0).setLoopback(true);
             c.recovery =
                 std::make_unique<RecoveryManager>(engine_, *c.shell);
             c.recovery->registerTelemetry(MetricsRegistry::instance(),
@@ -259,6 +299,18 @@ class OracleRun {
             c.pr->load(0, c.role);
         }
         plan_.registerTelemetry(MetricsRegistry::instance(), "ff_fault");
+    }
+
+    /** The sink shape: @p mac transmits to a sink MAC on a clock of
+     *  its own (registered first, so connectPeer fuses the clocks). */
+    void connectSink(MacIp &mac)
+    {
+        sink_ = std::make_unique<XilinxCmac>(100, "oracle_sink");
+        sinkLog_ = std::make_unique<SinkLog>(*sink_);
+        Clock *clk = engine_.addClock("oracle_sink_clk", 250.0);
+        engine_.add(sink_.get(), clk);
+        engine_.add(sinkLog_.get(), clk);
+        mac.connectPeer(sink_.get());
     }
 
     /** One rule of every FaultKind, windows seeded. */
@@ -449,9 +501,24 @@ class OracleRun {
             const std::size_t actions = 1 + rng_.below(3);
             for (std::size_t a = 0; a < actions; ++a)
                 act(rng_.below(cards_.size()));
+            if (sink_ != nullptr)
+                feedSink();
         }
         engine_.runFor(rng_.range(300'000, 2'500'000));
         drain();
+    }
+
+    /** A short burst out of the port that feeds the sink. */
+    void feedSink()
+    {
+        NetworkRbb &port = cards_.back().shell->network(0);
+        for (std::uint64_t n = 1 + rng_.below(6); n > 0 && port.txReady();
+             --n) {
+            PacketDesc pkt;
+            pkt.bytes = 64 + 64 * rng_.below(8);
+            pkt.flowHash = rng_.next();
+            port.txPush(pkt);
+        }
     }
 
     void drain()
@@ -473,6 +540,9 @@ class OracleRun {
     Engine engine_;
     std::vector<Card> cards_;
     std::vector<std::string> log_;
+    const bool sinkShape_;
+    std::unique_ptr<XilinxCmac> sink_;
+    std::unique_ptr<SinkLog> sinkLog_;
     std::uint64_t wireBytes_ = 0;
     std::uint64_t wirePackets_ = 0;
     std::size_t warm_ = 0;
