@@ -3,13 +3,21 @@
  * Micro-benchmarks (google-benchmark) on the hot primitives: command
  * codec, checksum/CRC, async FIFO and the byte repacker. These bound
  * the simulator's own overheads and document codec costs. The scale
- * probe (BM_StatsSnapshotAcrossCards) bounds the edge loop's per-card
- * cost: one command to one card of an N-card rack.
+ * probe (BM_StatsSnapshotAcrossCards) bounds what a card costs beside
+ * others: one command to one card of an N-card rack, and the rack's
+ * build time and memory per card.
  */
 
 #include <benchmark/benchmark.h>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
+#include <chrono>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cmd/command.h"
@@ -105,27 +113,54 @@ BM_ByteRepacker(benchmark::State &state)
 }
 BENCHMARK(BM_ByteRepacker)->Arg(16)->Arg(64)->Arg(256);
 
+/** This process's resident set in MiB, from /proc/self/status (0
+ *  where that file is absent). */
+double
+rssMb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stod(line.substr(6)) / 1024.0;
+    return 0.0;
+}
+
 /**
  * The scale probe: one StatsSnapshot round trip to card 0 of N unified
  * cards (devices A-D in rotation) in one fast-forwarding engine. Only
  * card 0 does any work, so the per-call cost should not grow with N.
+ * The build of the rack is timed and its VmRSS growth measured
+ * (build_ms_per_card, rss_mb_per_card): both should grow with the
+ * cards' active work, not with their 1K DMA queue slots.
  */
 void
 BM_StatsSnapshotAcrossCards(benchmark::State &state)
 {
     static const char *const kDevices[] = {"DeviceA", "DeviceB",
                                            "DeviceC", "DeviceD"};
+    const auto n = static_cast<std::size_t>(state.range(0));
+    for (const char *name : kDevices)
+        DeviceDatabase::instance().byName(name);
+#ifdef __GLIBC__
+    malloc_trim(0);  // the previous run's rack back to the OS
+#endif
+    const double rss_before = rssMb();
+    const auto built_from = std::chrono::steady_clock::now();
     Engine engine;
     engine.setIdleFastForward(true);
     std::vector<std::unique_ptr<Shell>> cards;
-    for (std::int64_t i = 0; i < state.range(0); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         const FpgaDevice &dev =
             DeviceDatabase::instance().byName(kDevices[i % 4]);
         cards.push_back(std::make_unique<Shell>(
             engine, dev, unifiedConfigFor(dev),
-            format("card%lld_%s", static_cast<long long>(i),
-                   dev.name.c_str())));
+            format("card%zu_%s", i, dev.name.c_str())));
     }
+    const std::chrono::duration<double, std::milli> build_ms =
+        std::chrono::steady_clock::now() - built_from;
+    const double rss_mb = rssMb() - rss_before;
+
     CmdDriver driver(engine, *cards.front());
     for (auto _ : state) {
         const CommandPacket resp =
@@ -136,9 +171,16 @@ BM_StatsSnapshotAcrossCards(benchmark::State &state)
             break;
         }
     }
-    state.counters["cards"] = static_cast<double>(state.range(0));
+    state.counters["cards"] = static_cast<double>(n);
+    state.counters["build_ms_per_card"] = build_ms.count() / n;
+    state.counters["rss_mb_per_card"] = rss_mb / n;
 }
-BENCHMARK(BM_StatsSnapshotAcrossCards)->Arg(1)->Arg(8)->Arg(64);
+BENCHMARK(BM_StatsSnapshotAcrossCards)
+    ->Arg(1)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -6,20 +6,24 @@
 
 namespace harmonia {
 
-HostDma::HostDma(HostRbb &host)
-    : host_(host), bins_(host.numQueues()),
-      outstanding_(host.numQueues()), strikes_(host.numQueues(), 0),
-      quarantined_(host.numQueues(), false), stats_("host_dma")
+HostDma::HostDma(HostRbb &host) : host_(host), stats_("host_dma")
 {
+}
+
+const HostDma::Lane *
+HostDma::lane(std::uint16_t queue) const
+{
+    if (queue >= host_.numQueues())
+        fatal("queue %u out of range (%u)", queue, host_.numQueues());
+    const auto it = lanes_.find(queue);
+    return it == lanes_.end() ? nullptr : &it->second;
 }
 
 bool
 HostDma::submit(DmaDir dir, std::uint16_t queue, std::uint32_t bytes,
                 std::uint64_t id)
 {
-    if (queue >= bins_.size())
-        fatal("queue %u out of range (%zu)", queue, bins_.size());
-    if (quarantined_[queue]) {
+    if (const Lane *l = lane(queue); l != nullptr && l->quarantined) {
         rejectedQuarantined_.inc();
         return false;
     }
@@ -38,7 +42,7 @@ HostDma::submit(DmaDir dir, std::uint16_t queue, std::uint32_t bytes,
         host_.now(), "host_dma",
         dir == DmaDir::H2C ? "dma:h2c" : "dma:c2h", "dma");
     const Tick deadline = host_.now() + policy_.timeout;
-    outstanding_[queue].push_back(
+    lanes_[queue].open.push_back(
         Pending{dir, bytes, id, deadline, 1, span});
     // The timeout scan runs from host code, invisible to the engine's
     // idle fast-forward. Post the deadline as a next-event hint so a
@@ -63,7 +67,12 @@ HostDma::poll()
         // Retire the matching tracked submission. A completion with
         // no match answers a transfer already requeued or declared
         // lost — delivering it too would double-complete.
-        auto &open = outstanding_[c.request.queue];
+        const auto l = lanes_.find(c.request.queue);
+        if (l == lanes_.end()) {
+            duplicateCompletions_.inc();
+            continue;
+        }
+        auto &open = l->second.open;
         const auto it = std::find_if(
             open.begin(), open.end(),
             [&c](const Pending &p) { return p.id == c.request.id; });
@@ -75,7 +84,7 @@ HostDma::poll()
         open.erase(it);
         ++transfers_;
         bytes_ += c.request.bytes;
-        bins_[c.request.queue].push_back(c);
+        l->second.done.push_back(c);
     }
     timeoutScan();
 }
@@ -84,8 +93,8 @@ void
 HostDma::timeoutScan()
 {
     const Tick t = host_.now();
-    for (std::uint16_t q = 0; q < outstanding_.size(); ++q) {
-        auto &open = outstanding_[q];
+    for (auto &[q, lane] : lanes_) {
+        auto &open = lane.open;
         // Deadlines are monotonic within a queue (same timeout for
         // every submission), so only the front can be overdue.
         while (!open.empty() && open.front().deadline < t) {
@@ -95,8 +104,8 @@ HostDma::timeoutScan()
             if (p.attempts >= policy_.maxAttempts) {
                 Trace::instance().endSpan(p.span, t);
                 lostTransfers_.inc();
-                if (++strikes_[q] >= policy_.quarantineStrikes) {
-                    quarantine(q);
+                if (++lane.strikes >= policy_.quarantineStrikes) {
+                    quarantine(q, lane);
                     break;
                 }
                 continue;
@@ -117,46 +126,40 @@ HostDma::timeoutScan()
 }
 
 void
-HostDma::quarantine(std::uint16_t queue)
+HostDma::quarantine(std::uint16_t queue, Lane &lane)
 {
-    quarantined_[queue] = true;
+    lane.quarantined = true;
     host_.setQueueActive(queue, false);
     quarantines_.inc();
     // Whatever was still in flight on the poisoned queue is lost.
-    lostTransfers_.inc(outstanding_[queue].size());
-    for (const Pending &p : outstanding_[queue])
+    lostTransfers_.inc(lane.open.size());
+    for (const Pending &p : lane.open)
         Trace::instance().endSpan(p.span, host_.now());
-    outstanding_[queue].clear();
+    lane.open.clear();
 }
 
 std::size_t
 HostDma::outstanding(std::uint16_t queue) const
 {
-    if (queue >= outstanding_.size())
-        fatal("queue %u out of range (%zu)", queue,
-              outstanding_.size());
-    return outstanding_[queue].size();
+    const Lane *l = lane(queue);
+    return l == nullptr ? 0 : l->open.size();
 }
 
 bool
 HostDma::queueQuarantined(std::uint16_t queue) const
 {
-    if (queue >= quarantined_.size())
-        fatal("queue %u out of range (%zu)", queue,
-              quarantined_.size());
-    return quarantined_[queue];
+    const Lane *l = lane(queue);
+    return l != nullptr && l->quarantined;
 }
 
 void
 HostDma::releaseQuarantine(std::uint16_t queue)
 {
-    if (queue >= quarantined_.size())
-        fatal("queue %u out of range (%zu)", queue,
-              quarantined_.size());
-    if (!quarantined_[queue])
+    if (!queueQuarantined(queue))
         return;
-    quarantined_[queue] = false;
-    strikes_[queue] = 0;
+    Lane &l = lanes_.at(queue);
+    l.quarantined = false;
+    l.strikes = 0;
     host_.setQueueActive(queue, true);
     quarantineReleased_.inc();
 }
@@ -164,9 +167,8 @@ HostDma::releaseQuarantine(std::uint16_t queue)
 bool
 HostDma::hasCompletion(std::uint16_t queue) const
 {
-    if (queue >= bins_.size())
-        fatal("queue %u out of range (%zu)", queue, bins_.size());
-    return !bins_[queue].empty();
+    const Lane *l = lane(queue);
+    return l != nullptr && !l->done.empty();
 }
 
 DmaCompletion
@@ -174,8 +176,9 @@ HostDma::popCompletion(std::uint16_t queue)
 {
     if (!hasCompletion(queue))
         fatal("no completion pending on queue %u", queue);
-    DmaCompletion c = bins_[queue].front();
-    bins_[queue].pop_front();
+    auto &done = lanes_.at(queue).done;
+    DmaCompletion c = done.front();
+    done.pop_front();
     return c;
 }
 

@@ -15,7 +15,7 @@
 #define HARMONIA_HOST_DMA_ENGINE_H_
 
 #include <deque>
-#include <vector>
+#include <map>
 
 #include "shell/host_rbb.h"
 #include "sim/trace.h"
@@ -33,7 +33,8 @@ struct DmaRecoveryPolicy {
 /**
  * Per-queue completion routing over one Host RBB. Data-plane users
  * submit on their own queue and pop their own completions; control-
- * channel completions are kept separate for the command driver.
+ * channel completions are kept separate for the command driver. A
+ * queue's bins exist only once it has held a request.
  */
 class HostDma {
   public:
@@ -99,15 +100,23 @@ class HostDma {
         SpanId span = 0;  ///< open trace span (submit -> completion)
     };
 
+    /** One queue's routing state, made on its first submission. */
+    struct Lane {
+        std::deque<DmaCompletion> done;  ///< completions to pop
+        std::deque<Pending> open;        ///< awaiting completion
+        unsigned strikes = 0;            ///< transfers lost
+        bool quarantined = false;
+    };
+
+    /** @p queue's lane, or null before its first submission. */
+    const Lane *lane(std::uint16_t queue) const;
+
     void timeoutScan();
-    void quarantine(std::uint16_t queue);
+    void quarantine(std::uint16_t queue, Lane &lane);
 
     HostRbb &host_;
     DmaRecoveryPolicy policy_;
-    std::vector<std::deque<DmaCompletion>> bins_;
-    std::vector<std::deque<Pending>> outstanding_;
-    std::vector<unsigned> strikes_;
-    std::vector<bool> quarantined_;
+    std::map<std::uint16_t, Lane> lanes_;  ///< queue order
     std::deque<DmaCompletion> control_;
     std::uint64_t transfers_ = 0;
     std::uint64_t bytes_ = 0;

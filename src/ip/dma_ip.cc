@@ -32,7 +32,7 @@ DmaIp::DmaIp(std::string name, Vendor vendor, Protocol protocol,
     : IpBlock(std::move(name), vendor, protocol,
               widthBitsFor(pcie_gen), clockMhzFor(pcie_gen)),
       gen_(pcie_gen), lanes_(lanes), numQueues_(num_queues),
-      style_(style), stats_(this->name())
+      style_(style), queues_(num_queues, 64), stats_(this->name())
 {
     if (style == DmaEngineStyle::Bulk) {
         // Bulk engines batch descriptors into long bursts: better
@@ -49,9 +49,6 @@ DmaIp::DmaIp(std::string name, Vendor vendor, Protocol protocol,
         fatal("PCIe lane count %u not supported (x8/x16)", lanes);
     if (num_queues == 0 || num_queues > 2048)
         fatal("DMA queue count %u out of range (1..2048)", num_queues);
-    queues_.reserve(num_queues);
-    for (unsigned q = 0; q < num_queues; ++q)
-        queues_.emplace_back(64);
 }
 
 unsigned
@@ -142,6 +139,7 @@ DmaIp::payloadEfficiency(std::uint32_t bytes) const
 bool
 DmaIp::post(const DmaRequest &req)
 {
+    noteMutation();
     if (req.control) {
         if (!controlQueue_.canPush()) {
             ctrlRejected_.inc();
@@ -153,11 +151,11 @@ DmaIp::post(const DmaRequest &req)
     if (req.queue >= numQueues_)
         fatal("DMA '%s': queue %u out of range (%u)", name().c_str(),
               req.queue, numQueues_);
-    if (!queues_[req.queue].canPush()) {
+    if (!queues_.canPush(req.queue)) {
         dataRejected_.inc();
         return false;
     }
-    queues_[req.queue].push(req);
+    queues_.push(req.queue, req);
     ++pendingData_;
     return true;
 }
@@ -176,7 +174,7 @@ DmaIp::queueDepth(std::uint16_t queue) const
 {
     if (queue >= numQueues_)
         fatal("queueDepth: queue %u out of range", queue);
-    return queues_[queue].size();
+    return queues_.size(queue);
 }
 
 void
@@ -209,35 +207,24 @@ DmaIp::tick()
     if (stalled)
         stallTicks_.inc();
 
-    // Data path: round-robin over queues onto the shared link. The
-    // engine works ahead within the current cycle so link pacing is
-    // not quantized to clock edges.
+    // Data path: round-robin over the non-empty queues onto the
+    // shared link. The engine works ahead within the current cycle so
+    // link pacing is not quantized to clock edges.
     const Tick window = t + (clock() ? clock()->period() : 1);
     if (busBusyUntil_ < t)
         busBusyUntil_ = t;
     while (!stalled && pendingData_ > 0 && busBusyUntil_ < window) {
-        bool found = false;
-        for (std::size_t i = 0; i < queues_.size(); ++i) {
-            const std::size_t q = (rrNext_ + i) % queues_.size();
-            if (!queues_[q].canPop())
-                continue;
-            DmaRequest req = queues_[q].pop();
-            --pendingData_;
-            rrNext_ = (q + 1) % queues_.size();
-            const double eff = payloadEfficiency(req.bytes);
-            const double seconds =
-                req.bytes / (linkBandwidth() * eff);
-            const Tick xfer =
-                static_cast<Tick>(seconds * kTicksPerSecond);
-            busBusyUntil_ += xfer;
-            finish(req, busBusyUntil_ + baseLatency());
-            dataTransfers_.inc();
-            dataBytes_.inc(req.bytes);
-            found = true;
-            break;
-        }
-        if (!found)
-            break;
+        const std::size_t q = queues_.nextNonEmpty(rrNext_);
+        DmaRequest req = queues_.pop(q);
+        --pendingData_;
+        rrNext_ = (q + 1) % numQueues_;
+        const double eff = payloadEfficiency(req.bytes);
+        const double seconds = req.bytes / (linkBandwidth() * eff);
+        const Tick xfer = static_cast<Tick>(seconds * kTicksPerSecond);
+        busBusyUntil_ += xfer;
+        finish(req, busBusyUntil_ + baseLatency());
+        dataTransfers_.inc();
+        dataBytes_.inc(req.bytes);
     }
 
     // Deliver finished transfers. Fault hook: a lost completion means
@@ -263,8 +250,7 @@ void
 DmaIp::reset()
 {
     IpBlock::reset();
-    for (auto &q : queues_)
-        q.clear();
+    queues_.clear();
     controlQueue_.clear();
     inFlight_.clear();
     completions_.clear();

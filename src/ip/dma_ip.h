@@ -18,6 +18,7 @@
 #include "common/stats.h"
 #include "ip/ip_block.h"
 #include "rtl/fifo.h"
+#include "rtl/fifo_array.h"
 
 namespace harmonia {
 
@@ -59,8 +60,9 @@ struct DmaCompletion {
 };
 
 /**
- * Base DMA model: per-queue request FIFOs, round-robin service at
- * link bandwidth x TLP efficiency, and a strictly prioritized control
+ * Base DMA model: per-queue request FIFOs (storage on a queue's first
+ * request), round-robin service over the non-empty queues at link
+ * bandwidth x TLP efficiency, and a strictly prioritized control
  * channel so command traffic never queues behind bulk data.
  */
 class DmaIp : public IpBlock {
@@ -136,12 +138,12 @@ class DmaIp : public IpBlock {
     DmaEngineStyle style_;
     std::uint32_t maxPayload_ = 256;
     Tick styleLatency_ = 0;
-    std::vector<Fifo<DmaRequest>> queues_;
+    FifoArray<DmaRequest> queues_;
     Fifo<DmaRequest> controlQueue_{32};
     std::deque<std::pair<Tick, DmaCompletion>> inFlight_;
     Fifo<DmaCompletion> completions_{4096};
     Tick busBusyUntil_ = 0;
-    std::size_t rrNext_ = 0;
+    std::size_t rrNext_ = 0;       ///< round-robin scan start
     std::size_t pendingData_ = 0;  ///< requests staged in queues_
     StatGroup stats_;
     CounterHandle ctrlRejected_{stats_, "ctrl_rejected"};

@@ -51,6 +51,7 @@ RegisterFile::read(Addr addr) const
 void
 RegisterFile::write(Addr addr, std::uint32_t value)
 {
+    owner_->noteMutation();
     Slot &s = slotAt(addr);
     if (s.desc.readOnly)
         fatal("write to read-only register '%s'", s.desc.name.c_str());
@@ -169,6 +170,7 @@ IpBlock::applyInitSequence()
 void
 IpBlock::reset()
 {
+    noteMutation();
     initialized_ = false;
 }
 

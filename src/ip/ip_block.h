@@ -39,6 +39,10 @@ class RegisterFile {
     using ReadHandler = std::function<std::uint32_t(std::uint32_t)>;
     using WriteHandler = std::function<void(std::uint32_t)>;
 
+    /** @p owner is the component the write side effects reach:
+     *  every write() is host input to it (noteMutation). */
+    explicit RegisterFile(const Component &owner) : owner_(&owner) {}
+
     /** Define a register; fatal() on address or name collision. */
     void define(const RegisterDesc &desc, std::uint32_t init = 0);
 
@@ -72,6 +76,7 @@ class RegisterFile {
     const Slot &slotAt(Addr addr) const;
     Slot &slotAt(Addr addr);
 
+    const Component *owner_;
     std::map<Addr, Slot> regs_;
     std::map<std::string, Addr> byName_;
 };
@@ -190,7 +195,7 @@ class IpBlock : public Component {
     Protocol dataProtocol_;
     unsigned dataWidthBits_;
     double clockMhz_;
-    RegisterFile regs_;
+    RegisterFile regs_{*this};
     std::vector<ConfigItem> configs_;
     std::vector<PortDesc> ports_;
     std::vector<RegOp> initSeq_;

@@ -43,6 +43,7 @@ MacIp::clockMhzFor(unsigned gbps)
 void
 MacIp::txPush(const PacketDesc &pkt)
 {
+    noteMutation();
     if (!tx_.canPush())
         fatal("MAC '%s': txPush without txReady", name().c_str());
     tx_.push(pkt);
@@ -51,6 +52,7 @@ MacIp::txPush(const PacketDesc &pkt)
 PacketDesc
 MacIp::rxPop()
 {
+    noteMutation();
     if (rx_.empty())
         fatal("MAC '%s': rxPop with empty RX queue", name().c_str());
     return rx_.pop();

@@ -53,6 +53,7 @@ MemoryIp::rowBytes() const
 bool
 MemoryIp::post(unsigned channel, const MemRequest &req)
 {
+    noteMutation();
     if (channel >= numChannels_)
         fatal("memory '%s': channel %u out of range (%u)",
               name().c_str(), channel, numChannels_);

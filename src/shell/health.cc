@@ -20,6 +20,7 @@ HealthMonitor::setUtilization(double fraction)
 {
     if (fraction < 0.0 || fraction > 1.0)
         fatal("utilization %f outside [0,1]", fraction);
+    noteMutation();
     catchUp();
     utilization_ = fraction;
     latchKnown_ = false;
@@ -28,6 +29,7 @@ HealthMonitor::setUtilization(double fraction)
 void
 HealthMonitor::setAmbientMilliC(std::uint32_t milli_c)
 {
+    noteMutation();
     catchUp();
     ambientMilliC_ = milli_c;
     latchKnown_ = false;
@@ -36,6 +38,7 @@ HealthMonitor::setAmbientMilliC(std::uint32_t milli_c)
 void
 HealthMonitor::setTempLimitMilliC(std::uint32_t limit)
 {
+    noteMutation();
     catchUp();
     tempLimitMilliC_ = limit;
     latchKnown_ = false;

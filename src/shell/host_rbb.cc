@@ -26,12 +26,8 @@ HostRbb::HostRbb(Engine &engine, Clock *rbb_clk, Vendor chip_vendor,
       dma_(makeDma(chip_vendor, pcie_gen, lanes, num_queues,
                    format("h%u", instance_id), style)),
       wrapper_(name() + ".wrap"), numQueues_(num_queues),
-      arbiter_(num_queues)
+      staging_(num_queues, 16), arbiter_(num_queues)
 {
-    staging_.reserve(num_queues);
-    for (unsigned q = 0; q < num_queues; ++q)
-        staging_.emplace_back(16);
-
     defineCtrlRegs();
 
     setExResources(kExResources);
@@ -133,7 +129,7 @@ HostRbb::submit(DmaDir dir, std::uint16_t queue, std::uint32_t bytes,
         rejectedInactive_.inc();
         return false;
     }
-    if (!staging_[queue].canPush()) {
+    if (!staging_.canPush(queue)) {
         rejected_.inc();
         rejectedBackpressure_.inc();
         return false;
@@ -144,7 +140,7 @@ HostRbb::submit(DmaDir dir, std::uint16_t queue, std::uint32_t bytes,
     req.bytes = bytes;
     req.issued = now();
     req.id = id;
-    staging_[queue].push(req);
+    staging_.push(queue, req);
     ++staged_;
     submitted_.inc();
     return true;
@@ -179,7 +175,7 @@ HostRbb::queueDepth(std::uint16_t queue) const
 {
     if (queue >= numQueues_)
         fatal("queue %u out of range (%u)", queue, numQueues_);
-    return staging_[queue].size() + dma_->queueDepth(queue);
+    return staging_.size(queue) + dma_->queueDepth(queue);
 }
 
 void
@@ -191,14 +187,14 @@ HostRbb::tick()
     // the round-robin cursor where it was.
     for (int grants = 0; grants < 4 && staged_ != 0; ++grants) {
         auto slot = arbiter_.grant([this](std::size_t q) {
-            return staging_[q].canPop();
+            return staging_.canPop(q);
         });
         if (!slot.has_value())
             break;
         const std::size_t q = *slot;
-        if (!dma_->post(staging_[q].front()))
+        if (!dma_->post(staging_.front(q)))
             break;  // engine back-pressure; retry next cycle
-        staging_[q].pop();
+        staging_.pop(q);
         --staged_;
     }
 
@@ -259,10 +255,9 @@ HostRbb::queueConfig(const std::vector<std::uint32_t> &data)
 void
 HostRbb::onReset()
 {
-    for (unsigned q = 0; q < numQueues_; ++q) {
-        staging_[q].clear();
+    staging_.clear();
+    for (unsigned q = 0; q < numQueues_; ++q)
         arbiter_.deactivate(q);
-    }
     staged_ = 0;
     out_.clear();
     queuesConfigured_ = 0;

@@ -4,6 +4,8 @@
  * isolation Ex-function — 1K DMA queues with per-queue active/inactive
  * state, where only active queues are scheduled (raising the
  * scheduling rate) — and per-queue monitoring (depth, packets, speed).
+ * A queue's staging FIFO, like its engine FIFO, exists only once it
+ * has held a request.
  */
 
 #ifndef HARMONIA_SHELL_HOST_RBB_H_
@@ -14,7 +16,7 @@
 
 #include "ip/dma_ip.h"
 #include "rtl/arbiter.h"
-#include "rtl/fifo.h"
+#include "rtl/fifo_array.h"
 #include "shell/rbb.h"
 #include "sim/engine.h"
 #include "wrapper/stream_wrapper.h"
@@ -103,7 +105,7 @@ class HostRbb : public Rbb {
     std::unique_ptr<DmaIp> dma_;
     StreamWrapper wrapper_;
     unsigned numQueues_;
-    std::vector<Fifo<DmaRequest>> staging_;
+    FifoArray<DmaRequest> staging_;
     std::size_t staged_ = 0;  ///< requests across all staging_ FIFOs
     ActiveListArbiter arbiter_;
     std::deque<DmaCompletion> out_;

@@ -75,6 +75,7 @@ PrController::reconfigTime(std::size_t slot) const
 bool
 PrController::load(std::size_t slot, Role &role)
 {
+    noteMutation();
     if (slot >= slots_.size())
         fatal("PR slot %zu out of range (%zu)", slot, slots_.size());
     Slot &s = slots_[slot];
@@ -113,6 +114,7 @@ PrController::load(std::size_t slot, Role &role)
 bool
 PrController::unload(std::size_t slot)
 {
+    noteMutation();
     if (slot >= slots_.size())
         fatal("PR slot %zu out of range (%zu)", slot, slots_.size());
     Slot &s = slots_[slot];

@@ -148,7 +148,7 @@ class Rbb : public Component, public CommandTarget {
 
     RbbKind kind_;
     std::uint8_t instanceId_;
-    RegisterFile ctrlRegs_;
+    RegisterFile ctrlRegs_{*this};
     StatGroup monitor_;
     ResourceVector exRes_;
     ResourceVector cmRes_;

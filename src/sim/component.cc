@@ -8,12 +8,6 @@ Component::Component(std::string name) : name_(std::move(name))
 {
 }
 
-Cycles
-Component::cycle() const
-{
-    return clock_ ? clock_->cycle() : 0;
-}
-
 bool
 Component::insideEdge() const
 {
@@ -23,10 +17,7 @@ Component::insideEdge() const
 void
 Component::noteHostInput() const
 {
-    // A predicate may run another engine, whose ticks are not host
-    // input to it.
-    if (engine_ != nullptr && !engine_->committing_)
-        engine_->hostInput_ = true;
+    engine_->touch(domain_);
 }
 
 } // namespace harmonia

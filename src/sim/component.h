@@ -12,10 +12,10 @@
 #include <string>
 
 #include "common/types.h"
+#include "sim/clock.h"
 
 namespace harmonia {
 
-class Clock;
 class Engine;
 
 /**
@@ -66,7 +66,7 @@ class Component {
     Tick now() const { return *engineNow_; }
 
     /** Current cycle of this component's clock; 0 until registered. */
-    Cycles cycle() const;
+    Cycles cycle() const { return clock_ ? clock_->cycle() : 0; }
 
     /** Simulated time of the last Engine::add; it ticks on the edges
      *  of its clock strictly after this. */
@@ -97,14 +97,19 @@ class Component {
 
     /**
      * Host-input hook: call at the top of every externally reachable
-     * state mutator (a push, a pop, a submit). Called from a
-     * runUntilDone predicate (the only host code inside a run call),
-     * it makes the engine rescan its dormant groups before the next
-     * edge; on every other path it costs one load.
+     * state mutator (a push, a submit, a register write, a setter) —
+     * every path by which code outside this component's concurrency
+     * group can change what its idle() or wakeTime() answers. While
+     * the group is dormant under fast-forward, it marks the group
+     * touched: the engine asks a touched group again before its next
+     * edge (at the next run call's entry, or after a runUntilDone
+     * predicate) and asks no untouched one. Otherwise it costs two
+     * loads. The dormancy audit (HARMONIA_SIM_AUDIT) catches a mutator
+     * that lacks it.
      */
     void noteMutation() const
     {
-        if (inPredicate_)
+        if (clock_ != nullptr && clock_->dormant())
             noteHostInput();
     }
 
@@ -124,9 +129,6 @@ class Component {
     /// The tick cursor (edgePending): index of the domain a
     /// fast-forward edge is ticking, else kNoDomain.
     inline static std::size_t tickingDomain_ = kNoDomain;
-
-    /// A runUntilDone predicate is running (noteMutation).
-    inline static bool inPredicate_ = false;
 
     std::string name_;
     Clock *clock_ = nullptr;

@@ -34,6 +34,15 @@ auditFromEnv()
     return env != nullptr && *env != '\0' && std::string(env) != "0";
 }
 
+/** The first edge of @p clk at or after @p w, a component's
+ *  wakeTime(), judged at @p now; kTickMax for kTickMax. */
+Tick
+wakeEdge(const Clock &clk, Tick now, Tick w)
+{
+    return w == kTickMax ? kTickMax
+                         : clk.nextEdge(std::max(now, w == 0 ? 0 : w - 1));
+}
+
 } // namespace
 
 Engine::Engine()
@@ -46,9 +55,16 @@ Engine::addClock(const std::string &name, double mhz)
 {
     Domain d;
     d.clock = std::make_unique<Clock>(name, mhz);
+    d.clock->engineNow_ = &now_;
+    d.clock->domain_ = domains_.size();
     d.edge = d.clock->nextEdge(now_);
     d.synced = now_ == 0;
     d.group = domains_.size();
+    if (std::none_of(periodClocks_.begin(), periodClocks_.end(),
+                     [&d](const Clock *c) {
+                         return c->period() == d.clock->period();
+                     }))
+        periodClocks_.push_back(d.clock.get());
     domains_.push_back(std::move(d));
     fired_.reserve(domains_.size());
     layoutDirty_ = true;
@@ -59,21 +75,21 @@ Engine::addClock(const std::string &name, double mhz)
 Engine::Domain *
 Engine::findDomain(const Clock *clk)
 {
-    for (auto &d : domains_)
-        if (d.clock.get() == clk)
-            return &d;
-    return nullptr;
+    // A clock knows its index; another engine's may hold the same one.
+    const std::size_t i = clk->domain_;
+    return i < domains_.size() && domains_[i].clock.get() == clk
+               ? &domains_[i]
+               : nullptr;
 }
 
 std::size_t
 Engine::domainIndex(const Clock *clk)
 {
-    for (std::size_t i = 0; i < domains_.size(); ++i)
-        if (domains_[i].clock.get() == clk)
-            return i;
-    fatal("clock '%s' does not belong to this engine",
-          clk->name().c_str());
-    return 0;
+    const Domain *d = findDomain(clk);
+    if (d == nullptr)
+        fatal("clock '%s' does not belong to this engine",
+              clk->name().c_str());
+    return static_cast<std::size_t>(d - domains_.data());
 }
 
 std::size_t
@@ -155,6 +171,8 @@ Engine::step()
     if (domains_.empty())
         fatal("Engine::step with no clock domains");
     beginCall();
+    if (dormantCount_ != 0)
+        wakeAll();  // dormant domains' edges count too
     commitEdge(nextEdge(), fastForwardNow());
 }
 
@@ -187,9 +205,21 @@ Engine::syncDomain(Domain &d)
 void
 Engine::syncClocks()
 {
-    for (auto &d : domains_)
+    const auto land = [this](Domain &d) {
         if (!d.synced || d.edge <= now_)
             syncDomain(d);
+    };
+    if (dormantCount_ == 0 || layoutDirty_) {
+        for (auto &d : domains_)
+            if (!d.dormant)
+                land(d);
+        return;
+    }
+    // walk_ lists every domain that is not dormant once rebuilt.
+    if (walkDirty_)
+        rebuildWalk();
+    for (std::size_t di : walk_)
+        land(domains_[di]);
 }
 
 namespace {
@@ -311,6 +341,16 @@ Engine::commitDomains(Walk &walk, Tick next)
 }
 
 Tick
+Engine::firstEdgeFrom(Tick t) const
+{
+    // Edges sit at multiples of a period: one clock per period decides.
+    Tick edge = kTickMax;
+    for (const Clock *c : periodClocks_)
+        edge = std::min(edge, c->nextEdge(t - 1));
+    return edge;
+}
+
+Tick
 Engine::hintEdge()
 {
     while (!events_.empty() && events_.top() <= now_)
@@ -322,9 +362,7 @@ Engine::hintEdge()
     const Tick hint = events_.top();
     if (hint != hintTick_) {
         hintTick_ = hint;
-        hintEdge_ = kTickMax;
-        for (const auto &d : domains_)
-            hintEdge_ = std::min(hintEdge_, d.clock->nextEdge(hint - 1));
+        hintEdge_ = firstEdgeFrom(hint);
     }
     return hintEdge_;
 }
@@ -354,9 +392,8 @@ Engine::scanGroup(Group &g, Tick best, bool &active)
         if (busy) {
             active = true;
             cand = std::min(cand, d.edge);
-        } else if (wake != kTickMax) {
-            cand = std::min(cand, d.clock->nextEdge(std::max(
-                                      now_, wake == 0 ? 0 : wake - 1)));
+        } else {
+            cand = std::min(cand, wakeEdge(*d.clock, now_, wake));
         }
     }
     g.jumped = cand != first;
@@ -368,9 +405,8 @@ Engine::nextEventEdge()
 {
     if (layoutDirty_)
         rebuildGroups();
-    else if (hostInput_ && dormantCount_ != 0)
-        wakeAll();
-    hostInput_ = false;
+    else if (!touched_.empty())
+        rescanTouched();  // a runUntilDone predicate's input
     Tick next = events_.empty() ? kTickMax : hintEdge();
     // After an edge on which a group ticked, its next edge is taken
     // unasked, until one taken that way ticks nothing; then it is
@@ -420,8 +456,15 @@ Engine::sleepGroup(std::size_t slot, Tick wake)
     g.dormant = true;
     g.wake = wake;
     ++dormantCount_;
-    for (std::size_t di : g.domains)
-        domains_[di].dormant = true;
+    for (std::size_t di : g.domains) {
+        Domain &d = domains_[di];
+        // A clock added mid-run lands now: from here on its count is
+        // derived from engine time.
+        if (!d.synced)
+            syncDomain(d);
+        d.dormant = true;
+        d.clock->dormant_ = true;
+    }
     if (wake != kTickMax)
         dormantHeap_.push({wake, gi});
     awake_[slot] = awake_.back();
@@ -450,7 +493,11 @@ Engine::wakeGroup(std::size_t gi)
     awake_.push_back(gi);
     for (std::size_t di : g.domains) {
         Domain &d = domains_[di];
+        // A derived clock stays so until the next walk or the end of
+        // the call lands it: one divide, as any landing.
         d.dormant = false;
+        if (d.clock->dormant_)
+            d.synced = false;
         if (!d.walked)
             woken_.push_back(di);
     }
@@ -458,29 +505,44 @@ Engine::wakeGroup(std::size_t gi)
 }
 
 void
-Engine::rescanDormant()
+Engine::touch(std::size_t di)
 {
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
+    Group &g = groups_[domains_[di].slot];
+    if (!g.touched) {
+        g.touched = true;
+        touched_.push_back(domains_[di].slot);
+    }
+}
+
+void
+Engine::rescanTouched()
+{
+    for (std::size_t gi : touched_) {
         Group &g = groups_[gi];
+        g.touched = false;
         if (!g.dormant)
             continue;
-        for (std::size_t di : g.domains) {
-            Domain &d = domains_[di];
-            if (!d.synced || d.edge <= now_)
-                syncDomain(d);  // a call that ended in fatal()
-        }
+        // Land its clocks: the scan needs fresh edges, and a woken
+        // group's walk then needs no landing of its own.
+        for (std::size_t di : g.domains)
+            syncDomain(domains_[di]);
         bool active = false;
         const Tick cand = scanGroup(g, kTickMax, active);
-        if (active || cand != g.wake)
+        if (active || cand != g.wake) {
             wakeGroup(gi);
+        } else {
+            for (std::size_t di : g.domains)
+                domains_[di].clock->dormant_ = true;  // derived again
+        }
     }
+    touched_.clear();
 }
 
 void
 Engine::wakeAll()
 {
     for (auto &d : domains_) {
-        if (d.dormant && (!d.synced || d.edge <= now_))
+        if (d.clock->dormant_)
             syncDomain(d);
         d.dormant = false;
         d.walked = true;
@@ -489,8 +551,10 @@ Engine::wakeAll()
     for (std::size_t g = 0; g < groups_.size(); ++g) {
         groups_[g].dormant = false;
         groups_[g].ticked = false;
+        groups_[g].touched = false;
         awake_.push_back(g);
     }
+    touched_.clear();
     dormantHeap_ = {};
     dormantCount_ = 0;
     walk_.resize(domains_.size());
@@ -559,18 +623,12 @@ Engine::verifyDormant()
         if (!g.dormant)
             continue;
         for (std::size_t di : g.domains) {
-            Domain &d = domains_[di];
-            syncDomain(d);
-            const bool on_edge =
-                d.clock->cyclesToTicks(d.clock->cycle()) == now_;
-            for (const Component *c : d.components) {
-                Tick due = kTickMax;
-                if (!c->idle()) {
-                    due = on_edge ? now_ : d.edge;
-                } else if (const Tick w = c->wakeTime(); w != kTickMax) {
-                    due = d.clock->nextEdge(
-                        std::max(now_, w == 0 ? 0 : w - 1));
-                }
+            const Clock &clk = *domains_[di].clock;
+            const bool on_edge = now_ % clk.period() == 0;
+            for (const Component *c : domains_[di].components) {
+                const Tick due =
+                    !c->idle() ? (on_edge ? now_ : clk.nextEdge(now_))
+                               : wakeEdge(clk, now_, c->wakeTime());
                 if (due < g.wake)
                     fatal("dormancy verifier: component '%s' of the "
                           "dormant group of clock '%s' needs the edge "
@@ -584,6 +642,51 @@ Engine::verifyDormant()
                           static_cast<unsigned long long>(g.wake));
             }
         }
+    }
+}
+
+void
+Engine::verifyUntouched()
+{
+    // Between run calls only host code runs, so an untouched dormant
+    // group must answer exactly as when it went to sleep.
+    for (const Group &g : groups_) {
+        if (!g.dormant || g.touched)
+            continue;
+        const Component *first = nullptr;  // earliest need
+        Tick cand = kTickMax;
+        bool busy = false;
+        for (std::size_t di : g.domains) {
+            const Clock &clk = *domains_[di].clock;
+            for (const Component *c : domains_[di].components) {
+                if (!c->idle()) {
+                    first = c;
+                    busy = true;
+                    break;
+                }
+                const Tick due = wakeEdge(clk, now_, c->wakeTime());
+                if (first == nullptr || due < cand) {
+                    first = c;
+                    cand = due;
+                }
+            }
+            if (busy)
+                break;
+        }
+        if (first == nullptr || (!busy && cand == g.wake))
+            continue;
+        const std::string change =
+            busy ? std::string("is no longer idle")
+                 : format("needs the edge at %llu, not the group's "
+                          "wake %llu",
+                          static_cast<unsigned long long>(cand),
+                          static_cast<unsigned long long>(g.wake));
+        fatal("dormancy verifier: component '%s' of the dormant group "
+              "of clock '%s' %s at run call entry, with no "
+              "noteMutation(): host input bypassed the hook",
+              first->name().c_str(),
+              domains_[g.domains.front()].clock->name().c_str(),
+              change.c_str());
     }
 }
 
@@ -648,11 +751,8 @@ Engine::runUntilDone(const std::function<bool()> &done, Tick max_duration)
     const auto clamp = [&](Tick next) {
         if (next < deadline)
             return next;
-        if (stop == 0) {
-            stop = kTickMax;
-            for (const auto &d : domains_)
-                stop = std::min(stop, d.clock->nextEdge(deadline - 1));
-        }
+        if (stop == 0)
+            stop = firstEdgeFrom(deadline);
         return std::min(next, stop);
     };
     bool fired = false;
@@ -664,12 +764,8 @@ Engine::runUntilDone(const std::function<bool()> &done, Tick max_duration)
                 wakeAll();
             commitEdge(clamp(nextEdge()), false);
         }
-        // The predicate is host code inside the call: input it feeds
-        // through noteMutation() rescans before the next edge.
-        struct PredicateScope {
-            bool outer = std::exchange(Component::inPredicate_, true);
-            ~PredicateScope() { Component::inPredicate_ = outer; }
-        } scope;
+        // The predicate is host code inside the call: the groups its
+        // input touches are asked again before the next edge.
         fired = done();
     }
     syncClocks();

@@ -59,19 +59,23 @@ namespace harmonia {
  * a group whose components all report idle is cached in a min-heap
  * keyed on its wake edge, and until that edge the loop neither asks
  * its components again nor walks its domains, so an idle card costs
- * nothing per edge. This rests on the group contract fuseClocks()
- * already states — a tick never hands input to another group — and on
- * host code running between run calls: step(), runUntil() and
- * runUntilDone() rescan every group when entered, so no mutator needs
- * a wake hook. Host code inside a call (a runUntilDone predicate) may
- * feed input only through mutators that call
- * Component::noteMutation(), which makes the loop rescan before its
- * next edge. A dormant group's clocks sync when it wakes, and every
- * clock syncs before a run call returns; in between, code outside the
- * group (a runUntilDone predicate included) must not read its cycle().
- * With the dormancy audit on, every committed fast-forward edge
- * re-checks the dormant groups and fatal()s, naming the group and the
- * component, when a component needs an edge before its group's wake.
+ * nothing per edge. A dormant domain's clock is not advanced either:
+ * Clock::cycle() derives its count from engine time when read, and a
+ * run call lands only the clocks it walked before it returns. This
+ * rests on the group contract fuseClocks() already states — a tick
+ * never hands input to another group — and on the touched-group
+ * contract for host code: every mutator that code outside a group
+ * reaches calls Component::noteMutation(), which marks a dormant
+ * group touched. step(), runUntil() and runUntilDone() ask the touched
+ * groups again when entered, and a runUntilDone predicate's input is
+ * asked before the next edge; untouched dormant groups are not asked
+ * at all, so a run call costs nothing per idle card. With the
+ * dormancy audit on, every run call's entry also asks each untouched
+ * dormant group and fatal()s, naming the component and the group's
+ * clock, when one is no longer idle or its wake edge moved (host
+ * input bypassed noteMutation()), and every committed fast-forward
+ * edge re-checks the dormant groups and fatal()s when a component
+ * needs an edge before its group's wake (a tick handed it input).
  */
 class Engine {
   public:
@@ -106,7 +110,8 @@ class Engine {
 
     Tick now() const { return now_; }
 
-    /** Advance exactly one clock edge (possibly several domains). */
+    /** Advance exactly one clock edge (possibly several domains):
+     *  the next edge of any domain, so every dormant group wakes. */
     void step();
 
     /** Run for @p duration simulated picoseconds. */
@@ -148,7 +153,8 @@ class Engine {
     void scheduleEvent(Tick t);
 
     /**
-     * Enable/disable the dormancy verifier: every committed
+     * Enable/disable the dormancy verifier: every run call's entry
+     * asks the untouched dormant groups, and every committed
      * fast-forward edge re-checks the dormant groups (class comment).
      * Defaults to the HARMONIA_SIM_AUDIT environment switch (set and
      * not "0"). Costs nothing tick by tick.
@@ -157,17 +163,19 @@ class Engine {
     bool dormancyAudit() const { return audit_; }
 
   private:
-    friend class Component;  // noteHostInput
+    friend class Component;  // touch
 
     struct Domain {
         std::unique_ptr<Clock> clock;
         /// First edge strictly after now_ (cached: commitEdge touches
         /// only domains whose edge has come).
         Tick edge = 0;
-        /// False for a domain added mid-run until its clock first
-        /// lands at now_: its cycle count stays 0 until then.
+        /// False until its clock next lands at now_: for a domain
+        /// added mid-run (its count stays 0 until then) and for one
+        /// whose group woke (its count stays derived until then).
         bool synced = true;
-        /// Its group is cached dormant: not walked, clock lagging.
+        /// Its group is cached dormant: not walked, edge stale, and its
+        /// clock dormant too (count derived) until it next lands.
         bool dormant = false;
         /// Listed in walk_.
         bool walked = true;
@@ -181,8 +189,10 @@ class Engine {
         std::vector<std::size_t> domains;  ///< indices, creation order
         bool dormant = false;
         /// While dormant: the first edge at which it must be walked
-        /// again (kTickMax: only the next run call's rescan).
+        /// again (kTickMax: only host input wakes it).
         Tick wake = kTickMax;
+        /// Listed in touched_: host input since it went dormant.
+        bool touched = false;
         /// Its last fast-forward edge ticked a component.
         bool ticked = false;
         /// Its last scan jumped over an edge of one of its domains.
@@ -220,14 +230,19 @@ class Engine {
      *  hint, computed once per hint; kTickMax without one. */
     Tick hintEdge();
 
+    /** First edge of any domain at or after @p t (t > 0). */
+    Tick firstEdgeFrom(Tick t) const;
+
     /** Idle fast-forward is enabled and no armed tick-queried fault
      *  rule is live (see the class comment). */
     bool fastForwardNow() const;
 
-    /** Land @p d's clock at now_ (one divide) and refresh its edge. */
+    /** Land @p d's clock at now_ (one divide), refresh its edge and
+     *  end its dormancy. */
     void syncDomain(Domain &d);
 
-    /** Land every clock an edge has passed (end of a run call). */
+    /** Land the clocks the call walked whose edge has passed (end of
+     *  a run call); a dormant clock derives its count. */
     void syncClocks();
 
     /** Land at @p next: sync the clocks whose edge has come, tick the
@@ -246,22 +261,27 @@ class Engine {
     template <bool SkipIdle, typename Walk>
     void commitDomains(Walk &walk, Tick next);
 
-    /** Every group awake, every lagging clock landed. Run after host
-     *  input mid-call and whenever fast-forward pauses. */
+    /** Every group awake, every dormant clock landed. Run whenever
+     *  fast-forward pauses and when the layout changes. */
     void wakeAll();
 
-    /** Entry to a run call: host code may have touched any group, so
-     *  every dormant group is asked again (rescanDormant). */
+    /** Entry to a run call: ask the touched groups again (under the
+     *  audit, check the untouched ones first). */
     void beginCall()
     {
-        hostInput_ = false;
-        if (dormantCount_ != 0)
-            rescanDormant();
+        if (audit_ && dormantCount_ != 0 && !layoutDirty_)
+            verifyUntouched();
+        if (!touched_.empty())
+            rescanTouched();
     }
 
-    /** Ask every dormant group again: wake those no longer idle to
-     *  the same wake edge, leave the rest dormant. */
-    void rescanDormant();
+    /** Component::noteMutation() on domain @p di, whose clock is
+     *  dormant: list its group in touched_. */
+    void touch(std::size_t di);
+
+    /** Ask every touched dormant group again: wake those no longer
+     *  idle or whose wake edge moved, leave the rest dormant. */
+    void rescanTouched();
 
     /** Return dormant group @p gi to the scan and the walk. */
     void wakeGroup(std::size_t gi);
@@ -282,8 +302,14 @@ class Engine {
      *  before the group's wake. */
     void verifyDormant();
 
+    /** Audit at call entry: fatal() when an untouched dormant group is
+     *  no longer idle or its wake edge moved. */
+    void verifyUntouched();
+
     Tick now_ = 0;
     std::vector<Domain> domains_;
+    /// One clock of each distinct period (firstEdgeFrom).
+    std::vector<const Clock *> periodClocks_;
     std::vector<Domain *> fired_;  ///< commitEdge buffer, reused
     bool committing_ = false;      ///< inside commitEdge
     std::priority_queue<Tick, std::vector<Tick>, std::greater<Tick>>
@@ -301,13 +327,14 @@ class Engine {
                         std::greater<WakeEntry>>
         dormantHeap_;
     std::size_t dormantCount_ = 0;
+    /// Dormant groups host input touched since they were last asked.
+    std::vector<std::size_t> touched_;
     /// Domains of awake groups, creation order: what a fast-forward
     /// edge walks.
     std::vector<std::size_t> walk_;
     std::vector<std::size_t> woken_;  ///< woken since walk_ was built
     bool walkDirty_ = false;
     bool layoutDirty_ = true;  ///< clock/component/fuse change
-    bool hostInput_ = false;   ///< noteMutation() from a predicate
 
     bool fastForward_ = true;
     bool audit_ = false;

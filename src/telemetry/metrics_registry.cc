@@ -32,10 +32,7 @@ MetricsRegistry::instance()
 bool
 MetricsRegistry::nameTaken(const std::string &name) const
 {
-    for (const auto &[id, e] : entries_)
-        if (e.name == name)
-            return true;
-    return false;
+    return byName_.count(name) != 0;
 }
 
 std::string
@@ -57,6 +54,7 @@ MetricsRegistry::add(Entry entry)
         fatal("metric registered with an empty name");
     entry.name = uniqueName(entry.name);
     const MetricId id = nextId_++;
+    byName_.emplace(entry.name, id);
     entries_.emplace(id, std::move(entry));
     return id;
 }
@@ -126,13 +124,18 @@ MetricsRegistry::addGroup(const std::string &prefix, const StatGroup *g)
 void
 MetricsRegistry::remove(MetricId id)
 {
-    entries_.erase(id);
+    const auto it = entries_.find(id);
+    if (it == entries_.end())
+        return;
+    byName_.erase(it->second.name);
+    entries_.erase(it);
 }
 
 void
 MetricsRegistry::clear()
 {
     entries_.clear();
+    byName_.clear();
 }
 
 std::vector<MetricSample>

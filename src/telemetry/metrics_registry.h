@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/stats.h"
@@ -135,6 +136,8 @@ class MetricsRegistry {
 
     MetricId nextId_ = 1;
     std::map<MetricId, Entry> entries_;
+    /// Every entry's name, so add() checks one in O(1), not by a scan.
+    std::unordered_map<std::string, MetricId> byName_;
 };
 
 /**

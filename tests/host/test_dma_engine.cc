@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "cmd/command_codes.h"
 #include "common/logging.h"
 #include "host/dma_engine.h"
 
@@ -52,6 +53,32 @@ TEST(HostDma, ControlCompletionsSeparated)
         100'000'000);
     EXPECT_FALSE(b.dma.hasCompletion(1));
     EXPECT_EQ(b.dma.popControlCompletion().request.id, 7u);
+}
+
+TEST(HostDma, QueueFirstUsedAfterResetRoutesCompletions)
+{
+    // Queue 9 has no bins until its first submission, which comes after
+    // the Host RBB was reset: its completion lands in its own bin.
+    HostDmaBench b;
+    ASSERT_TRUE(b.dma.submit(DmaDir::H2C, 1, 4096, 11));
+    b.rbb.executeCommand(kCmdModuleReset, {});
+    EXPECT_FALSE(b.dma.hasCompletion(9));
+    EXPECT_EQ(b.dma.outstanding(9), 0u);
+    EXPECT_FALSE(b.dma.queueQuarantined(9));
+
+    b.rbb.setQueueActive(9, true);
+    ASSERT_TRUE(b.dma.submit(DmaDir::C2H, 9, 2048, 99));
+    EXPECT_EQ(b.dma.outstanding(9), 1u);
+    ASSERT_TRUE(b.engine.runUntilDone(
+        [&] {
+            b.dma.poll();
+            return b.dma.hasCompletion(9);
+        },
+        100'000'000));
+    EXPECT_EQ(b.dma.popCompletion(9).request.id, 99u);
+    EXPECT_EQ(b.dma.outstanding(9), 0u);
+    EXPECT_FALSE(b.dma.hasCompletion(1));
+    EXPECT_EQ(b.dma.completedTransfers(), 1u);
 }
 
 TEST(HostDma, InactiveQueueRejected)

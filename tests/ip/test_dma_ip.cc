@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <utility>
+#include <vector>
+
 #include "common/logging.h"
 #include "ip/dma_ip.h"
 #include "sim/engine.h"
@@ -122,6 +126,110 @@ TEST(DmaIp, RoundRobinAcrossQueues)
     // First four completions hit four distinct queues (round robin).
     std::set<std::uint16_t> first4(order.begin(), order.begin() + 4);
     EXPECT_EQ(first4.size(), 4u);
+}
+
+/**
+ * The data path's grant order as a scan of every queue computes it:
+ * from the slot after the last grant, the first queue holding a
+ * request, wrapping past the last queue.
+ */
+class DenseRoundRobin {
+  public:
+    explicit DenseRoundRobin(std::size_t queues) : queues_(queues) {}
+
+    void post(std::uint16_t q, std::uint64_t id)
+    {
+        queues_[q].push_back(id);
+    }
+
+    /** Every posted id, in grant order. */
+    std::vector<std::uint64_t> drain()
+    {
+        std::vector<std::uint64_t> order;
+        for (bool found = true; found;) {
+            found = false;
+            for (std::size_t i = 0; i < queues_.size(); ++i) {
+                const std::size_t q = (next_ + i) % queues_.size();
+                if (queues_[q].empty())
+                    continue;
+                order.push_back(queues_[q].front());
+                queues_[q].pop_front();
+                next_ = (q + 1) % queues_.size();
+                found = true;
+                break;
+            }
+        }
+        return order;
+    }
+
+    void reset()
+    {
+        for (auto &q : queues_)
+            q.clear();
+        next_ = 0;
+    }
+
+  private:
+    std::vector<std::deque<std::uint64_t>> queues_;
+    std::size_t next_ = 0;
+};
+
+TEST(DmaIp, SparseRoundRobinMatchesDenseScan)
+{
+    // Data completions leave in grant order (the link serializes), so
+    // each phase's completion ids must equal the dense scan's drain.
+    // Phases share the cursor: the second refills the drained queues
+    // from where the first left it and wraps past queue 63, the third
+    // runs after reset().
+    DmaBench b;
+    DenseRoundRobin want(b.dma.numQueues());
+    std::uint64_t next_id = 1;
+    const auto phase = [&](const std::vector<std::pair<std::uint16_t,
+                                                       int>> &posts) {
+        for (const auto &[q, n] : posts) {
+            for (int i = 0; i < n; ++i) {
+                DmaRequest req;
+                req.queue = q;
+                req.bytes = 512;
+                req.id = next_id;
+                req.issued = b.engine.now();
+                ASSERT_TRUE(b.dma.post(req));
+                want.post(q, next_id++);
+            }
+        }
+        const std::vector<std::uint64_t> expect = want.drain();
+        std::vector<std::uint64_t> got;
+        ASSERT_TRUE(b.engine.runUntilDone(
+            [&] {
+                while (b.dma.hasCompletion())
+                    got.push_back(b.dma.popCompletion().request.id);
+                return got.size() == expect.size();
+            },
+            200'000'000));
+        EXPECT_EQ(got, expect);
+    };
+
+    phase({{63, 3}, {5, 1}, {40, 4}, {0, 2}, {17, 3}});
+    phase({{62, 1}, {1, 2}, {63, 1}, {33, 5}});  // drain and refill
+    // A half-drained backlog is dropped by reset(); the cursor, too.
+    for (std::uint16_t q : {9, 50}) {
+        DmaRequest req;
+        req.queue = q;
+        req.bytes = 1 << 20;
+        ASSERT_TRUE(b.dma.post(req));
+    }
+    b.dma.reset();
+    want.reset();
+    EXPECT_EQ(b.dma.queueDepth(9), 0u);
+    phase({{48, 2}, {3, 2}, {63, 1}, {0, 1}});
+}
+
+TEST(DmaIp, UnusedQueueHasNoDepth)
+{
+    DmaBench b;
+    for (std::uint16_t q = 0; q < b.dma.numQueues(); ++q)
+        EXPECT_EQ(b.dma.queueDepth(q), 0u) << q;
+    EXPECT_THROW(b.dma.queueDepth(64), FatalError);
 }
 
 TEST(DmaIp, QueueBackPressure)

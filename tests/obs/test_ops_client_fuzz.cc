@@ -263,7 +263,7 @@ TEST(OpsClientFuzz, RandomGarbageNeverEscapesThePayload)
         CommandPacket pkt;
         pkt.status = (rng() % 4 == 0)
                          ? static_cast<std::uint16_t>(rng())
-                         : kCmdOk;
+                         : static_cast<std::uint16_t>(kCmdOk);
         pkt.data.resize(rng() % 96);
         for (auto &w : pkt.data)
             w = static_cast<std::uint32_t>(rng());
@@ -272,8 +272,9 @@ TEST(OpsClientFuzz, RandomGarbageNeverEscapesThePayload)
         // no-overread claim); Ok outputs obey the protocol bounds.
         std::uint32_t count = 0;
         if (OpsClient::decodeSloCount(pkt, &count) ==
-            OpsDecodeError::Ok)
+            OpsDecodeError::Ok) {
             EXPECT_LE(count, OpsClient::kMaxWireRecords);
+        }
 
         WireSlo ws;
         if (OpsClient::decodeSlo(pkt, &ws) == OpsDecodeError::Ok) {
@@ -315,8 +316,9 @@ TEST(OpsClientFuzz, MutatedGoodRepliesClassifyCleanly)
             std::vector<WireAlert> alerts;
             const OpsDecodeError err = OpsClient::decodeAlertPage(
                 reply(d), &total, &k, &alerts);
-            if (err != OpsDecodeError::Ok)
+            if (err != OpsDecodeError::Ok) {
                 EXPECT_TRUE(alerts.empty());
+            }
         }
     }
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "cmd/command_codes.h"
 #include "common/logging.h"
 #include "shell/host_rbb.h"
@@ -186,6 +189,60 @@ TEST(HostRbb, IdleCountsStagedRequestsOnEveryQueue)
     EXPECT_FALSE(b.rbb.idle());
     b.rbb.executeCommand(kCmdModuleReset, {});
     EXPECT_TRUE(b.rbb.idle());
+}
+
+TEST(HostRbb, UnusedQueueHasNoDepth)
+{
+    // Staging exists only for queues that held a request: a fresh RBB
+    // reports every one of its 1K queues empty, active or not.
+    HostBench b;
+    b.rbb.setQueueActive(700, true);
+    for (std::uint16_t q = 0; q < b.rbb.numQueues(); ++q)
+        EXPECT_EQ(b.rbb.queueDepth(q), 0u) << q;
+    EXPECT_TRUE(b.rbb.idle());
+}
+
+TEST(HostRbb, ScheduleOverSparseQueuesSurvivesReset)
+{
+    // Requests on queues far apart complete in submission order per
+    // queue, before and after a reset drops staging and activation.
+    HostBench b;
+    const auto run = [&b](const std::vector<std::uint16_t> &queues,
+                          std::uint64_t first_id) {
+        for (std::uint16_t q : queues)
+            b.rbb.setQueueActive(q, true);
+        std::uint64_t id = first_id;
+        for (int round = 0; round < 3; ++round)
+            for (std::uint16_t q : queues)
+                ASSERT_TRUE(b.rbb.submit(DmaDir::H2C, q, 256, id++));
+        std::vector<std::pair<std::uint16_t, std::uint64_t>> got;
+        ASSERT_TRUE(b.engine.runUntilDone(
+            [&] {
+                while (b.rbb.hasCompletion()) {
+                    const DmaCompletion c = b.rbb.popCompletion();
+                    got.emplace_back(c.request.queue, c.request.id);
+                }
+                return got.size() == 3 * queues.size();
+            },
+            100'000'000));
+        for (std::size_t k = 0; k < queues.size(); ++k) {
+            std::vector<std::uint64_t> ids;
+            for (const auto &[q, i] : got)
+                if (q == queues[k])
+                    ids.push_back(i);
+            const std::uint64_t base = first_id + k;
+            EXPECT_EQ(ids, (std::vector<std::uint64_t>{
+                               base, base + queues.size(),
+                               base + 2 * queues.size()}))
+                << queues[k];
+        }
+    };
+    run({1023, 2, 511}, 1);
+    b.rbb.setQueueActive(300, true);
+    ASSERT_TRUE(b.rbb.submit(DmaDir::H2C, 300, 1 << 20, 99));
+    b.rbb.executeCommand(kCmdModuleReset, {});
+    EXPECT_EQ(b.rbb.queueDepth(300), 0u);
+    run({0, 1000}, 100);
 }
 
 TEST(HostRbb, ResetClearsQueuesAndState)

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "fault/fault_plan.h"
@@ -575,23 +577,82 @@ TEST(Engine, DormantGroupIsNotAskedUntilItsWake)
     ASSERT_EQ(g.sleeper.worked_.size(), 1u);
     EXPECT_EQ(g.sleeper.worked_[0], g.sleepClk->nextEdge(700'000));
     // ...while the busy group ticked on every one of its 500 edges,
-    // and the sleeper was asked only when its group was scanned: at
-    // entry, at its wake edge (tick time and the rescan after it).
+    // and the sleeper was asked only when its group was scanned: on
+    // the call's first edge choice and at its wake edge (tick time and
+    // the scan after it).
     EXPECT_EQ(g.busyTicks, 500);
     EXPECT_LE(g.sleeper.idleCalls_, 4u);
 }
 
-TEST(Engine, HostInputBetweenCallsWakesDormantGroup)
+TEST(Engine, HostSubmitBetweenCallsWakesDormantGroup)
 {
-    TwoGroups g;
-    g.engine.runUntil(1'000'000);
-    EXPECT_TRUE(g.sleeper.worked_.empty());
+    // submit() calls noteMutation(): the next call asks the touched
+    // group again, and the input lands on the sleeper's next edge, as
+    // tick by tick.
+    for (const bool fast_forward : {false, true}) {
+        const char *label = fast_forward ? "ff" : "tick-by-tick";
+        TwoGroups g(fast_forward);
+        g.engine.runUntil(1'000'000);
+        EXPECT_TRUE(g.sleeper.worked_.empty()) << label;
+        g.sleeper.submit();
+        g.engine.runUntil(2'000'000);
+        ASSERT_EQ(g.sleeper.worked_.size(), 1u) << label;
+        EXPECT_EQ(g.sleeper.worked_[0], g.sleepClk->nextEdge(1'000'000))
+            << label;
+    }
+}
 
-    // poke() calls no hook: only the next call's rescan can see it.
+TEST(Engine, HooklessInputBetweenCallsIsFatalUnderAudit)
+{
+    // poke() bypasses noteMutation(): no call asks the sleeper's group
+    // again, so the audit at the next call's entry must name it.
+    TwoGroups g;
+    g.engine.setDormancyAudit(true);
+    g.engine.runUntil(1'000'000);
     g.sleeper.poke();
-    g.engine.runUntil(2'000'000);
-    ASSERT_EQ(g.sleeper.worked_.size(), 1u);
-    EXPECT_EQ(g.sleeper.worked_[0], g.sleepClk->nextEdge(1'000'000));
+    try {
+        g.engine.runUntil(2'000'000);
+        FAIL() << "the call-entry audit did not fire";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("'sleeper'"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("'sleep'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Engine, CallEntryAsksOnlyTouchedGroups)
+{
+    // 64 dormant groups, one touched: the next call asks that one
+    // again and none of the other 63.
+    Engine engine;
+    engine.setIdleFastForward(true);
+    engine.setDormancyAudit(false);  // the audit asks every group
+    std::vector<std::unique_ptr<Sleeper>> sleepers;
+    for (int i = 0; i < 64; ++i) {
+        sleepers.push_back(
+            std::make_unique<Sleeper>(format("sleeper%d", i)));
+        engine.add(sleepers.back().get(),
+                   engine.addClock(format("clk%d", i), 200.0 + i));
+    }
+    engine.runUntil(1'000'000);
+    std::vector<std::uint64_t> asked;
+    for (const auto &s : sleepers)
+        asked.push_back(s->idleCalls_);
+
+    sleepers[17]->submit();
+    engine.runUntil(2'000'000);
+    for (int i = 0; i < 64; ++i) {
+        if (i == 17) {
+            ASSERT_EQ(sleepers[i]->worked_.size(), 1u);
+            EXPECT_GT(sleepers[i]->idleCalls_, asked[i]);
+        } else {
+            EXPECT_TRUE(sleepers[i]->worked_.empty()) << i;
+            EXPECT_EQ(sleepers[i]->idleCalls_, asked[i]) << i;
+        }
+    }
 }
 
 TEST(Engine, PredicateInputWakesDormantGroupMidCall)

@@ -25,9 +25,12 @@
  * a ThermalExcursion window that latches an over-temperature alarm
  * while fast-forward is suspended, and a lowered alarm limit that
  * latches one on the ripple while it is running, so RecoveryManager
- * degrades and restores in both regimes. The engines run with the
- * dormancy audit on, except one fast-forward mode that runs
- * unaudited, as production does.
+ * degrades and restores in both regimes. Between run calls the host
+ * also writes cards' registers and moves their ambient temperature
+ * and utilization, input that reaches a dormant group only through
+ * its noteMutation() hook. The engines run with the dormancy audit
+ * on, except one fast-forward mode that runs unaudited, as
+ * production does.
  *
  * A failing seed prints its seed, the mode and the first differing
  * line.
@@ -169,9 +172,9 @@ struct Mode {
 };
 
 /**
- * The verifier lands every dormant clock on every fast-forward edge,
- * so only an unaudited mode runs with clocks lagging until their
- * group wakes, as production does.
+ * The verifier asks every dormant component on every fast-forward
+ * edge and every untouched one at every call's entry, so only an
+ * unaudited mode asks no more than production does.
  */
 constexpr Mode kReference{"tick-by-tick", false, true};
 constexpr Mode kModes[] = {{"ff", true, true},
@@ -473,13 +476,47 @@ class OracleRun {
         }
     }
 
+    /**
+     * Host input that is neither a command nor a push: a register
+     * write over the card's reg interconnect (a DMA queue turned on or
+     * off through QUEUE_SEL/QUEUE_CTRL) or a health setter (ambient or
+     * utilization, which move the next alarm latch). It lands between
+     * run calls, ahead of the step's other actions, on a card whose
+     * group the last call usually left dormant; only its
+     * noteMutation() lets the next call ask that group again.
+     */
+    void configure(std::size_t i)
+    {
+        Card &c = cards_[i];
+        HealthMonitor &h = c.shell->health();
+        const std::uint64_t what = rng_.below(3);
+        const std::uint64_t value = rng_.below(16);
+        if (what == 0) {
+            RegInterconnect &regs = c.shell->regs();
+            const std::string &host = c.shell->host().name();
+            regs.write(regs.addrOf(host, "QUEUE_SEL"),
+                       static_cast<std::uint32_t>(1 + value % 4));
+            regs.write(regs.addrOf(host, "QUEUE_CTRL"), value < 12);
+        } else if (what == 1) {
+            h.setAmbientMilliC(
+                35'000 + 1'500 * static_cast<std::uint32_t>(value));
+        } else {
+            h.setUtilization(0.05 * static_cast<double>(value));
+        }
+        log_.push_back(format(
+            "c%zu configure t=%llu what=%llu value=%llu", i,
+            static_cast<unsigned long long>(engine_.now()),
+            static_cast<unsigned long long>(what),
+            static_cast<unsigned long long>(value)));
+    }
+
     void hostStep(std::size_t step)
     {
         // A seeded card's alarm limit drops below the ripple's peak
         // once fast-forward runs again, and comes back later: the
         // latch lands on whichever conversion crosses first. The
-        // setter is that step's only host input, so only the run
-        // call's rescan can notice it.
+        // setter is that step's only host input, so only its
+        // noteMutation() lets the run call notice it.
         if (step == kSteps / 2) {
             warm_ = rng_.below(cards_.size());
             HealthMonitor &h = cards_[warm_].shell->health();
@@ -490,6 +527,8 @@ class OracleRun {
             cards_[warm_].shell->health().setTempLimitMilliC(
                 HealthMonitor::kDefaultTempLimitMilliC);
         } else {
+            if (rng_.below(3) == 0)
+                configure(rng_.below(cards_.size()));
             const std::size_t actions = 1 + rng_.below(3);
             for (std::size_t a = 0; a < actions; ++a)
                 act(rng_.below(cards_.size()));

@@ -100,8 +100,8 @@ TEST(MetricsRegistry, GroupExpandsLazilyCreatedCounters)
 TEST(MetricsRegistry, NameCollisionsGetSuffixes)
 {
     MetricsRegistry reg;
-    Counter a, b, c;
-    reg.addCounter("shell/ctr", &a);
+    Counter a, b, c, d;
+    const MetricId first = reg.addCounter("shell/ctr", &a);
     reg.addCounter("shell/ctr", &b);
     reg.addCounter("shell/ctr", &c);
     const auto snap = reg.snapshot();
@@ -109,6 +109,15 @@ TEST(MetricsRegistry, NameCollisionsGetSuffixes)
     EXPECT_EQ(snap[0].name, "shell/ctr");
     EXPECT_EQ(snap[1].name, "shell/ctr~2");
     EXPECT_EQ(snap[2].name, "shell/ctr~3");
+
+    // A removed or cleared name is free again.
+    reg.remove(first);
+    reg.addCounter("shell/ctr", &d);
+    EXPECT_EQ(reg.snapshot()[0].name, "shell/ctr");
+    EXPECT_EQ(reg.size(), 3u);
+    reg.clear();
+    reg.addCounter("shell/ctr~2", &a);
+    EXPECT_EQ(reg.snapshot()[0].name, "shell/ctr~2");
 }
 
 TEST(MetricsRegistry, RemoveIsIdempotent)

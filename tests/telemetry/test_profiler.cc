@@ -109,9 +109,11 @@ TEST(Profiler, OverlappingChildrenClampSelfAtZero)
 
     Profiler prof;
     prof.fold();
-    for (const ProfileEntry &e : prof.snapshot())
-        if (e.who == "p")
+    for (const ProfileEntry &e : prof.snapshot()) {
+        if (e.who == "p") {
             EXPECT_EQ(e.selfTicks, 0u);  // clamped, not underflowed
+        }
+    }
 }
 
 TEST(Profiler, OccupancyIsTrackTimeOverWindow)
